@@ -19,19 +19,20 @@
 //! ```
 
 use kncube_bench::FigureConfig;
-use kncube_core::HotSpotModel;
+use kncube_core::{find_saturation_ncube_report, NCubeModel};
 use kncube_sim::{SimConfig, Simulator};
 use kncube_traffic::ArrivalProcess;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let fig = FigureConfig::paper(32, 0.2);
-    let sat = kncube_bench::or_exit(kncube_core::find_saturation(
+    let sat = kncube_bench::or_exit(find_saturation_ncube_report(
         fig.model_config(0.0),
         1e-8,
         1e-2,
         1e-3,
-    ));
+    ))
+    .lambda_star;
     let betas = [1.0, 2.0, 4.0, 8.0];
     let fractions = if quick {
         vec![0.3, 0.6]
@@ -55,7 +56,7 @@ fn main() {
     let mut cell = 0u32;
     for f in fractions {
         let lambda = f * sat;
-        let model = HotSpotModel::new(fig.model_config(lambda))
+        let model = NCubeModel::new(fig.model_config(lambda))
             .unwrap()
             .solve()
             .map(|o| format!("{:10.1}", o.latency))

@@ -11,8 +11,7 @@
 //! ```
 
 use kncube_bench::{
-    check_ncube_figure_shape, or_exit, print_ncube_figure, run_ncube_figure, NCubeFigureConfig,
-    NCUBE_SWEEP,
+    check_figure_shape, or_exit, print_figure, run_figure, FigureConfig, NCUBE_SWEEP,
 };
 
 fn main() {
@@ -20,17 +19,20 @@ fn main() {
     let (lm, h) = (16u32, 0.2f64);
     let mut all_violations = Vec::new();
     for (k, n) in NCUBE_SWEEP {
-        let mut cfg = NCubeFigureConfig::new(k, n, lm, h);
+        let mut cfg = FigureConfig::new(k, n, lm, h);
         if quick {
-            cfg = cfg.quick();
+            // A smaller budget than the paper figures' quick grid.
+            cfg.points = 3;
+            cfg.top_fraction = 0.7;
+            cfg.sim_limits = (300_000, 30_000, 5_000);
         }
-        let rows = or_exit(run_ncube_figure(&cfg));
-        print_ncube_figure(
+        let rows = or_exit(run_figure(&cfg));
+        print_figure(
             &format!("{k}-ary {n}-cube, h = {:.0}% (Lm = {lm} flits)", h * 100.0),
             &cfg,
             &rows,
         );
-        for v in check_ncube_figure_shape(&rows) {
+        for v in check_figure_shape(&rows) {
             all_violations.push(format!("(k={k}, n={n}): {v}"));
         }
     }

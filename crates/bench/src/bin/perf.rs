@@ -21,7 +21,7 @@
 
 use kncube_bench::json::{parse, Json};
 use kncube_bench::stamp::{git_commit, utc_now_iso8601};
-use kncube_core::{find_saturation_ncube, NCubeConfig, NCubeModel};
+use kncube_core::{find_saturation_ncube_report, NCubeConfig, NCubeModel};
 use kncube_sim::{SimConfig, Simulator};
 use std::time::Instant;
 
@@ -121,8 +121,8 @@ fn measure(opts: &Options) -> Json {
     let mut configs = Vec::new();
     for (k, n, v, lm, h) in CONFIGS {
         let base = NCubeConfig::new(k, n, v, lm, 0.0, h);
-        let sat = match find_saturation_ncube(base, 1e-9, 1e-1, 1e-3) {
-            Ok(sat) => sat,
+        let sat = match find_saturation_ncube_report(base, 1e-9, 1e-1, 1e-3) {
+            Ok(report) => report.lambda_star,
             Err(e) => {
                 eprintln!("error: no saturation rate for k={k} n={n}: {e}");
                 std::process::exit(2);

@@ -80,12 +80,13 @@ fn main() {
         } else {
             (600_000, 50_000, 0)
         };
-        let model_sat = kncube_bench::or_exit(kncube_core::find_saturation(
+        let model_sat = kncube_bench::or_exit(kncube_core::find_saturation_ncube_report(
             cfg.model_config(0.0),
             1e-8,
             1e-2,
             1e-3,
-        ));
+        ))
+        .lambda_star;
         let sim_sat = sim_saturation(&cfg, 0.5 * model_sat, 1.4 * model_sat);
         let bound = 1.0 / (h * (cfg.k * (cfg.k - 1)) as f64 * (lm + 1) as f64);
         println!(

@@ -156,12 +156,20 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts.  The parser recurses
+/// once per level, so without a limit a hostile document such as a
+/// million `[` would overflow the stack; real documents nest a few
+/// levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document (the full input must be one value plus
 /// whitespace).  Errors carry a byte offset and a short description.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -190,8 +198,11 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -232,8 +243,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -333,18 +355,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let step = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?
-                        .chars()
-                        .next()
-                        .map(char::len_utf8)
-                        .unwrap_or(1);
-                    let text = std::str::from_utf8(&rest[..step]).unwrap();
-                    s.push_str(text);
-                    self.pos += step;
+                    // Copy the whole run up to the next quote or escape.
+                    // Both delimiters are ASCII, which never occurs inside
+                    // a multi-byte UTF-8 sequence, so the run ends on a
+                    // char boundary of the input `&str`.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    s.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -372,6 +392,8 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_a_benchmark_shaped_document() {
@@ -427,6 +449,47 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"a\": 1} extra").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes_round_trips() {
+        let s = Json::Str("λ*=\"é\"\\ü\n→ 漢字\t🚀\u{1}end".into());
+        let text = s.pretty();
+        assert_eq!(parse(&text).unwrap(), s);
+        let doc = parse("[\"\\u00e9λ\\n漢\", \"🚀\\\"\"]").unwrap();
+        assert_eq!(
+            doc,
+            Json::Arr(vec![Json::Str("éλ\n漢".into()), Json::Str("🚀\"".into())])
+        );
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary input, lossily decoded to text and optionally behind
+        /// a deep `[`/`{` prefix, parses to `Ok` or `Err` and never panics.
+        #[test]
+        fn arbitrary_input_never_panics(
+            bytes in collection::vec(0u8..=255, 0..256usize),
+            opener in 0usize..3,
+            depth in 0usize..4 * MAX_DEPTH,
+        ) {
+            let prefix = ["", "[", "{\"k\":"][opener].repeat(depth);
+            let text = format!("{prefix}{}", String::from_utf8_lossy(&bytes));
+            let _ = parse(&text);
+        }
     }
 
     #[test]

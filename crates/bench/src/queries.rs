@@ -52,6 +52,7 @@
 
 use crate::json::Json;
 use crate::stamp::{git_commit, utc_now_iso8601};
+use kncube_core::cache::CacheKey;
 use kncube_core::{
     find_saturation_ncube_report, ModelError, NCubeConfig, NCubeModel, ServiceTimeModel, SolveCache,
 };
@@ -92,41 +93,14 @@ enum Query {
     },
 }
 
-/// The geometry key that decides which continuation chain a latency
-/// query joins: everything that shapes the fixed point except `λ`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct ChainKey {
-    k: u32,
-    n: u32,
-    v: u32,
-    lm: u32,
-    h_bits: u64,
-    variant: kncube_core::ModelVariant,
-    service: ServiceTimeModel,
-    multiplexing: kncube_core::MultiplexingModel,
-    max_iterations: usize,
-    tolerance_bits: u64,
-    damping_bits: u64,
-    acceleration: Acceleration,
-}
-
-impl ChainKey {
-    fn of(cfg: &NCubeConfig) -> Self {
-        ChainKey {
-            k: cfg.k,
-            n: cfg.n,
-            v: cfg.virtual_channels,
-            lm: cfg.message_length,
-            h_bits: cfg.hot_fraction.to_bits(),
-            variant: cfg.variant,
-            service: cfg.service_model,
-            multiplexing: cfg.multiplexing,
-            max_iterations: cfg.options.max_iterations,
-            tolerance_bits: cfg.options.tolerance.to_bits(),
-            damping_bits: cfg.options.damping.to_bits(),
-            acceleration: cfg.options.acceleration,
-        }
-    }
+/// The key of the continuation chain a latency query joins: its solve
+/// key with `λ` zeroed, so everything that shapes the fixed point except
+/// the rate.
+fn chain_key(cfg: &NCubeConfig) -> CacheKey {
+    CacheKey::of(&NCubeConfig {
+        lambda: 0.0,
+        ..*cfg
+    })
 }
 
 /// A schedulable unit of batch work: one continuation chain or one
@@ -385,14 +359,11 @@ pub fn run_batch(doc: &Json) -> Result<Json, String> {
     // Latency queries join per-geometry continuation chains (sorted by
     // λ so neighbours warm-start each other); everything else is its own
     // unit.  Units run in parallel on the bounded pool.
-    let mut chains: HashMap<ChainKey, Vec<(usize, NCubeConfig)>> = HashMap::new();
+    let mut chains: HashMap<CacheKey, Vec<(usize, NCubeConfig)>> = HashMap::new();
     let mut units: Vec<Unit> = Vec::new();
     for (idx, query) in parsed.iter().enumerate() {
         match query {
-            Query::Latency(cfg) => chains
-                .entry(ChainKey::of(cfg))
-                .or_default()
-                .push((idx, *cfg)),
+            Query::Latency(cfg) => chains.entry(chain_key(cfg)).or_default().push((idx, *cfg)),
             Query::Saturation(cfg) => units.push(Unit::Saturation(idx, *cfg)),
             Query::Pareto { .. } => units.push(Unit::Pareto(idx, query.clone())),
         }
@@ -826,13 +797,14 @@ mod tests {
         let r = &output.get("results").unwrap().as_arr().unwrap()[0];
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
         let engine = r.get("lambda_star").unwrap().as_f64().unwrap();
-        let direct = kncube_core::find_saturation_ncube(
+        let direct = find_saturation_ncube_report(
             NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3),
             1e-9,
             1e-1,
             SATURATION_REL_TOL,
         )
-        .unwrap();
+        .unwrap()
+        .lambda_star;
         assert_eq!(engine.to_bits(), direct.to_bits());
         assert!(r.get("probes").unwrap().as_f64().unwrap() > 10.0);
     }
@@ -889,6 +861,37 @@ mod tests {
         ] {
             let err = run_batch(&batch(text)).unwrap_err();
             assert!(err.contains(needle), "'{err}' should mention '{needle}'");
+        }
+    }
+
+    #[test]
+    fn saturation_queries_on_invalid_configs_fail_with_the_model_error() {
+        // Every probe of these fails; the answer must be a per-query
+        // failure carrying the model's reason, not a λ* pinned at the
+        // bracket's lower edge.
+        for (fields, needle) in [
+            (
+                r#""k": 16, "n": 2, "v": 2, "lm": 32, "h": 1.5"#,
+                "h must be in [0, 1]",
+            ),
+            (
+                r#""k": 16, "n": 2, "v": 0, "lm": 32, "h": 0.2"#,
+                "virtual channel",
+            ),
+            (r#""k": 1, "n": 2, "v": 2, "lm": 32, "h": 0.2"#, "radix k"),
+        ] {
+            let input = batch(&format!(
+                r#"{{"queries": [{{"type": "saturation", {fields}}}]}}"#
+            ));
+            let output = run_batch(&input).unwrap();
+            let r = &output.get("results").unwrap().as_arr().unwrap()[0];
+            assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{fields}: {r:?}");
+            assert!(r.get("lambda_star").is_none(), "{fields}: {r:?}");
+            let error = r.get("error").and_then(Json::as_str).unwrap();
+            assert!(
+                error.starts_with("bad model configuration") && error.contains(needle),
+                "{fields}: '{error}' should carry the model error '{needle}'"
+            );
         }
     }
 

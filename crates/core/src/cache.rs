@@ -28,7 +28,6 @@
 //! The cache is shared across threads (`&SolveCache` is `Sync`); the map
 //! lock is held only for lookups and inserts, never across a solve.
 
-use crate::faulty::{FaultyNCubeConfig, FaultyNCubeModel, FaultyNCubeOutput};
 use crate::ncube::{NCubeConfig, NCubeModel, NCubeOutput};
 use crate::solver::ModelError;
 use std::collections::HashMap;
@@ -49,9 +48,13 @@ fn quantize_f64(x: f64) -> f64 {
     f64::from_bits(x.to_bits() & !((1u64 << QUANT_DROP_BITS) - 1))
 }
 
-/// The exact-match key of one lattice configuration.
+/// The exact-match key of one configuration: every field of an
+/// [`NCubeConfig`] that changes the numerics.  [`SolveCache`] keys the
+/// *quantized* configuration; zeroing `λ` first gives the key of a
+/// warm-start chain, everything that shapes the fixed point except the
+/// rate.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct CacheKey {
+pub struct CacheKey {
     k: u32,
     n: u32,
     v: u32,
@@ -68,7 +71,8 @@ struct CacheKey {
 }
 
 impl CacheKey {
-    fn of(cfg: &NCubeConfig) -> Self {
+    /// The key of exactly `cfg` (no quantization).
+    pub fn of(cfg: &NCubeConfig) -> Self {
         CacheKey {
             k: cfg.k,
             n: cfg.n,
@@ -87,40 +91,6 @@ impl CacheKey {
     }
 }
 
-/// The exact-match key of one faulty-network lattice configuration.
-///
-/// The fault set enters through [`FaultSet::fingerprint`], which digests
-/// the failed-element bitmaps *and* the topology (k, n, link kind,
-/// boundary): two different fault sets — even with identical failure
-/// counts on the same geometry — can never alias, and neither can the
-/// same fault pattern on different topologies.
-///
-/// [`FaultSet::fingerprint`]: kncube_topology::FaultSet::fingerprint
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct FaultyCacheKey {
-    fault_fingerprint: u64,
-    hot_node: u32,
-    v: u32,
-    lm: u32,
-    lambda_bits: u64,
-    h_bits: u64,
-    multiplexing: crate::solver::MultiplexingModel,
-}
-
-impl FaultyCacheKey {
-    fn of(cfg: &FaultyNCubeConfig) -> Self {
-        FaultyCacheKey {
-            fault_fingerprint: cfg.faults.fingerprint(),
-            hot_node: cfg.hot_node.0,
-            v: cfg.virtual_channels,
-            lm: cfg.message_length,
-            lambda_bits: cfg.lambda.to_bits(),
-            h_bits: cfg.hot_fraction.to_bits(),
-            multiplexing: cfg.multiplexing,
-        }
-    }
-}
-
 #[derive(Clone)]
 struct CacheEntry {
     output: Result<NCubeOutput, ModelError>,
@@ -129,13 +99,10 @@ struct CacheEntry {
 }
 
 /// A thread-safe memo of [`NCubeModel`] solves over the quantization
-/// lattice, with hit/miss accounting.  Faulty-network solves
-/// ([`SolveCache::solve_faulty`]) share the hit/miss counters but live in
-/// their own keyspace, keyed by the fault-set fingerprint.
+/// lattice, with hit/miss accounting.
 #[derive(Default)]
 pub struct SolveCache {
     map: Mutex<HashMap<CacheKey, CacheEntry>>,
-    faulty_map: Mutex<HashMap<FaultyCacheKey, Result<FaultyNCubeOutput, ModelError>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -199,42 +166,6 @@ impl SolveCache {
         (output, state)
     }
 
-    /// Snap a faulty configuration onto the quantization lattice, the
-    /// faulty counterpart of [`SolveCache::quantize`]: only `lambda` and
-    /// `hot_fraction` move, by a relative amount below `2⁻²⁰`; the fault
-    /// set is carried verbatim (it is exact, not a continuum knob).
-    pub fn quantize_faulty(cfg: &FaultyNCubeConfig) -> FaultyNCubeConfig {
-        FaultyNCubeConfig {
-            lambda: quantize_f64(cfg.lambda),
-            hot_fraction: quantize_f64(cfg.hot_fraction),
-            ..cfg.clone()
-        }
-    }
-
-    /// Solve the quantized image of a faulty-network configuration,
-    /// consulting the cache first.  The key includes the fault-set
-    /// fingerprint, so two different [`FaultSet`]s never share an entry
-    /// even when every scalar knob coincides.
-    ///
-    /// [`FaultSet`]: kncube_topology::FaultSet
-    pub fn solve_faulty(&self, cfg: &FaultyNCubeConfig) -> Result<FaultyNCubeOutput, ModelError> {
-        let snapped = Self::quantize_faulty(cfg);
-        let key = FaultyCacheKey::of(&snapped);
-        if let Some(entry) = self.faulty_map.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let output = FaultyNCubeModel::new(snapped).and_then(|m| m.solve());
-        // First insert wins on a miss race, as for the fault-free map.
-        self.faulty_map
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| output.clone());
-        output
-    }
-
     /// Lookups answered from the cache so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -245,19 +176,14 @@ impl SolveCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct fault-free lattice configurations stored.
+    /// Number of distinct lattice configurations stored.
     pub fn len(&self) -> usize {
         self.map.lock().unwrap().len()
     }
 
-    /// Number of distinct faulty-network lattice configurations stored.
-    pub fn faulty_len(&self) -> usize {
-        self.faulty_map.lock().unwrap().len()
-    }
-
-    /// Whether the cache holds no entries yet (of either kind).
+    /// Whether the cache holds no entries yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0 && self.faulty_len() == 0
+        self.len() == 0
     }
 }
 
@@ -338,88 +264,6 @@ mod tests {
                 assert_eq!(q.to_bits(), 0.0f64.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn faulty_entries_never_alias_across_distinct_fault_sets() {
-        // Regression: with the fault-set fingerprint missing from the key,
-        // two *different* fault sets with identical scalar knobs (same
-        // topology, counts, λ, h, V, Lm) would silently share one entry —
-        // the second lookup would return the first set's latency.  Both
-        // sets here fail exactly one router, at different distances from
-        // the hot node, so their correct latencies differ.
-        use kncube_topology::{FaultSet, KAryNCube, NodeId};
-        let topo = KAryNCube::bidirectional(4, 2).unwrap();
-        let mut near = FaultSet::none(topo);
-        near.fail_node(NodeId(1));
-        let mut far = FaultSet::none(topo);
-        far.fail_node(NodeId(10));
-        let lambda = 2e-3;
-        let cfg_near = FaultyNCubeConfig::new(near, 2, 16, lambda, 0.2);
-        let cfg_far = FaultyNCubeConfig::new(far, 2, 16, lambda, 0.2);
-
-        let cache = SolveCache::new();
-        let first = cache.solve_faulty(&cfg_near).unwrap();
-        let second = cache.solve_faulty(&cfg_far).unwrap();
-        // Two entries, two misses: no aliasing.
-        assert_eq!(cache.faulty_len(), 2);
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // Each cached answer is the exact solution of its own fault set.
-        for (cfg, got) in [(&cfg_near, &first), (&cfg_far, &second)] {
-            let direct = FaultyNCubeModel::new(SolveCache::quantize_faulty(cfg))
-                .unwrap()
-                .solve()
-                .unwrap();
-            assert_eq!(got.latency.to_bits(), direct.latency.to_bits());
-        }
-        assert_ne!(first.latency.to_bits(), second.latency.to_bits());
-        // And re-asking hits the right entry.
-        let again = cache.solve_faulty(&cfg_near).unwrap();
-        assert_eq!(again.latency.to_bits(), first.latency.to_bits());
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn faulty_and_fault_free_keyspaces_are_disjoint() {
-        use kncube_topology::{FaultSet, KAryNCube};
-        let cache = SolveCache::new();
-        // A faulty solve of the empty set on a uni torus delegates to the
-        // closed-form model, but must not collide with (or populate) the
-        // fault-free memo's keyspace.
-        let topo = KAryNCube::unidirectional(8, 2).unwrap();
-        let fcfg = FaultyNCubeConfig::new(FaultSet::none(topo), 2, 16, 1e-4, 0.2);
-        let via_faulty = cache.solve_faulty(&fcfg).unwrap();
-        assert!(via_faulty.delegated);
-        assert_eq!((cache.len(), cache.faulty_len()), (0, 1));
-        let ncfg = NCubeConfig::new(8, 2, 2, 16, 1e-4, 0.2);
-        let via_plain = cache.solve(&ncfg).unwrap();
-        assert_eq!((cache.len(), cache.faulty_len()), (1, 1));
-        // Same physical configuration: the answers agree bit-for-bit
-        // through both keyspaces (the bit-exact reduction).
-        assert_eq!(via_faulty.latency.to_bits(), via_plain.latency.to_bits());
-        assert_eq!(cache.misses(), 2);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn faulty_quantization_collapses_nearby_lambdas() {
-        use kncube_topology::{Channel, Direction, FaultSet, KAryNCube, NodeId};
-        let topo = KAryNCube::mesh(4, 2).unwrap();
-        let mut faults = FaultSet::none(topo);
-        faults.fail_link(Channel {
-            from: NodeId(5),
-            dim: 0,
-            direction: Direction::Plus,
-        });
-        let a = FaultyNCubeConfig::new(faults, 2, 16, 1e-3, 0.2);
-        let mut b = a.clone();
-        b.lambda = f64::from_bits(a.lambda.to_bits() + 3);
-        let cache = SolveCache::new();
-        let ra = cache.solve_faulty(&a).unwrap();
-        let rb = cache.solve_faulty(&b).unwrap();
-        assert_eq!(ra.latency.to_bits(), rb.latency.to_bits());
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.faulty_len(), 1);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use crate::ncube::{NCubeConfig, NCubeModel};
 use crate::rates::FaultyChannelRates;
 use crate::solver::{ModelError, MultiplexingModel, RHO_CAP};
-use crate::sweep::{SaturationError, SaturationReport};
+use crate::sweep::{LatencyModel, SaturationError, SaturationReport, Solved};
 use kncube_queueing::blocking::{channel_metrics, TrafficClass};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
@@ -249,17 +249,14 @@ impl FaultyNCubeModel {
             .expect("zero load cannot saturate")
     }
 
-    /// Find the saturation rate `λ*` by bisection on solvability, exactly
-    /// as [`find_saturation_ncube_report`](crate::sweep) does for the
-    /// fault-free model.  Delegates to
-    /// [`find_saturation_faulty_report`](crate::sweep::find_saturation_faulty_report).
+    /// [`find_saturation`](crate::sweep::find_saturation) of this model.
     pub fn saturation(
         &self,
         lo: f64,
         hi: f64,
         rel_tol: f64,
     ) -> Result<SaturationReport, SaturationError> {
-        crate::sweep::find_saturation_faulty_report(self, lo, hi, rel_tol)
+        crate::sweep::find_saturation(self, lo, hi, rel_tol)
     }
 
     /// The bit-exact fault-free reduction: map the closed-form solver's
@@ -436,6 +433,27 @@ impl FaultyNCubeModel {
     }
 }
 
+/// Solves through [`FaultyNCubeModel::solve_at`], reusing the enumerated
+/// loads.  Neither path keeps a warm state: the per-channel path is
+/// non-iterative and the delegated path solves cold.
+impl LatencyModel for FaultyNCubeModel {
+    type Output = FaultyNCubeOutput;
+    type State = ();
+
+    fn solve_from(
+        &self,
+        lambda: f64,
+        _warm: Option<&()>,
+    ) -> Result<Solved<FaultyNCubeOutput, ()>, ModelError> {
+        let output = self.solve_at(lambda)?;
+        Ok(Solved {
+            iterations: output.iterations,
+            output,
+            state: (),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,7 +515,9 @@ mod tests {
         // stays within a few percent.
         let topo = KAryNCube::unidirectional(8, 2).unwrap();
         let cfg = NCubeConfig::new(8, 2, 2, 16, 0.0, 0.2);
-        let sat = crate::sweep::find_saturation_ncube(cfg, 1e-9, 1e-2, 1e-3).unwrap();
+        let sat = crate::sweep::find_saturation(&NCubeModel::new(cfg).unwrap(), 1e-9, 1e-2, 1e-3)
+            .unwrap()
+            .lambda_star;
         for frac in [0.05, 0.3, 0.5] {
             let lambda = frac * sat;
             let plain = NCubeModel::new(NCubeConfig { lambda, ..cfg })

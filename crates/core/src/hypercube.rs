@@ -398,13 +398,11 @@ mod tests {
         let hyper = HypercubeModel::new(8, 2, 32, 0.0, 0.2)
             .unwrap()
             .saturation_bound();
-        let torus = crate::sweep::find_saturation(
-            crate::ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2),
-            1e-8,
-            1e-2,
-            1e-3,
-        )
-        .expect("torus saturates inside the bracket");
+        let torus =
+            crate::NCubeModel::new(crate::NCubeConfig::new(16, 2, 2, 32, 0.0, 0.2)).unwrap();
+        let torus = crate::sweep::find_saturation(&torus, 1e-8, 1e-2, 1e-3)
+            .expect("torus saturates inside the bracket")
+            .lambda_star;
         assert!(
             hyper > 1.5 * torus,
             "hypercube bound {hyper:.3e} vs torus λ* {torus:.3e}"

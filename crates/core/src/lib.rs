@@ -47,8 +47,9 @@
 //! * [`faulty`] — the faulty-network model: the same queueing chain over
 //!   the exact surviving-route substrate of a fault-aware router, which
 //!   also covers the bidirectional and mesh geometries;
-//! * [`sweep`] — load sweeps, warm-started continuation and saturation
-//!   search, parallelised on a bounded rayon worker pool;
+//! * [`sweep`] — the one [`LatencyModel`] interface both solvers
+//!   implement, and the sweeps written once against it: the parallel
+//!   latency curve, the warm-started saturation search and continuation;
 //! * [`cache`] — a solved-configuration memo behind a quantized key, the
 //!   backbone of the batched query engine.
 
@@ -76,9 +77,7 @@ pub use solver::{
     ServiceTimeModel,
 };
 pub use sweep::{
-    faulty_latency_curve, find_saturation, find_saturation_faulty, find_saturation_faulty_report,
-    find_saturation_ncube, find_saturation_ncube_report, find_saturation_report, latency_curve,
-    ncube_latency_curve, ncube_latency_curve_continued, solve_continued, CurvePoint,
-    FaultyCurvePoint, NCubeCurvePoint, SaturationError, SaturationReport,
+    find_saturation, find_saturation_ncube_report, latency_curve, solve_continued, CurvePoint,
+    LatencyModel, SaturationError, SaturationReport, Solved,
 };
 pub use uniform::UniformModel;

@@ -52,6 +52,7 @@
 use crate::probabilities::{entry_cases, EntryCase};
 use crate::rates::NCubeRates;
 use crate::solver::{ModelError, ModelVariant, MultiplexingModel, ServiceTimeModel, RHO_CAP};
+use crate::sweep::{LatencyModel, Solved};
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
 use kncube_queueing::fixed_point::{self, FixedPointError, FixedPointOptions};
 use kncube_queueing::mg1;
@@ -644,6 +645,30 @@ impl NCubeModel {
         let hot_share = self.config.hot_fraction * k.powi(self.config.n as i32 - 1) * (k - 1.0);
         let reg_share = (1.0 - self.config.hot_fraction) * (k - 1.0) / 2.0;
         1.0 / ((hot_share + reg_share) * (self.config.message_length as f64 + 1.0))
+    }
+}
+
+/// Rebuilds the model at `lambda` and solves it with
+/// [`NCubeModel::solve_warm`].
+impl LatencyModel for NCubeModel {
+    type Output = NCubeOutput;
+    type State = Vec<f64>;
+
+    fn solve_from(
+        &self,
+        lambda: f64,
+        warm: Option<&Vec<f64>>,
+    ) -> Result<Solved<NCubeOutput, Vec<f64>>, ModelError> {
+        let model = NCubeModel::new(NCubeConfig {
+            lambda,
+            ..*self.config()
+        })?;
+        let (output, state) = model.solve_warm(warm.map(Vec::as_slice))?;
+        Ok(Solved {
+            iterations: output.iterations,
+            output,
+            state,
+        })
     }
 }
 

@@ -1,69 +1,75 @@
-//! Load sweeps, warm-started continuation, and saturation search.
+//! The one latency-model interface, and the sweeps built on it.
 //!
-//! The figures of the paper are latency-vs-λ curves.  This module sweeps
-//! the model across a λ grid and finds the saturation rate `λ*` by
-//! bisection on model solvability.  Sweep points are independent, so the
-//! sweep runs as a rayon parallel map: a bounded worker pool of at most
-//! `available_parallelism()` threads, not one OS thread per λ point —
-//! this is the hot path of every figure binary, where grids can reach
-//! hundreds of points.
+//! The paper asks two questions of a network: the mean latency at rate
+//! `λ`, and the saturation rate `λ*`.  Every model in this crate that can
+//! answer them — the closed-form [`NCubeModel`] and the faulty-network
+//! [`FaultyNCubeModel`](crate::faulty::FaultyNCubeModel) — implements
+//! [`LatencyModel`], and the sweeps are written once against it:
 //!
-//! Neighbouring grid points also have *nearby fixed points*, which the
-//! cold sweeps ignore.  The continuation entry points
-//! ([`solve_continued`], [`ncube_latency_curve_continued`]) exploit it:
-//! each solve is warm-started from the previous converged state
-//! ([`NCubeModel::solve_warm`]).  Combined with Anderson acceleration
-//! (`Acceleration::Anderson` in the config's solver options) this cuts
-//! the mean iteration count several-fold under the iterative service
-//! model, most dramatically near saturation where plain Picard slows to
-//! hundreds of iterations per point.
-//! [`find_saturation_ncube_report`] threads the same warm state through
-//! the bisection probes and surfaces the probe/iteration counts that the
-//! plain `find_saturation*` wrappers used to discard.
+//! * [`latency_curve`] evaluates a model across a λ grid as a rayon
+//!   parallel map — a bounded worker pool of at most
+//!   `available_parallelism()` threads, not one OS thread per λ point
+//!   (grids in the figure binaries reach hundreds of points);
+//! * [`find_saturation`] finds `λ*` by bisection on solvability, warm-
+//!   starting every probe from the converged state of the last solvable
+//!   one and reporting the probe and iteration counts.
+//!
+//! Neighbouring rates have *nearby fixed points*.  [`solve_continued`]
+//! exploits that along a grid of configurations: each solve starts from
+//! the previous converged state ([`NCubeModel::solve_warm`]).  Combined
+//! with Anderson acceleration (`Acceleration::Anderson` in the config's
+//! solver options) this cuts the mean iteration count several-fold under
+//! the iterative service model, most of all near saturation, where plain
+//! Picard slows to hundreds of iterations per point.
 
-use crate::faulty::{FaultyNCubeModel, FaultyNCubeOutput};
 use crate::ncube::{NCubeConfig, NCubeModel, NCubeOutput};
-use crate::solver::{HotSpotModel, ModelConfig, ModelError, ModelOutput};
+use crate::solver::ModelError;
 use rayon::prelude::*;
+
+/// A latency model that can be solved at any rate `λ`.
+pub trait LatencyModel: Sync {
+    /// What one solve produces.
+    type Output: Send;
+    /// The converged fixed-point state a later solve can start from.
+    type State;
+
+    /// Solve at `lambda`, starting the fixed point from `warm` when given
+    /// (a state the model cannot use falls back to the cold start).
+    fn solve_from(
+        &self,
+        lambda: f64,
+        warm: Option<&Self::State>,
+    ) -> Result<Solved<Self::Output, Self::State>, ModelError>;
+}
+
+/// One converged [`LatencyModel::solve_from`].
+#[derive(Clone, Debug)]
+pub struct Solved<O, S> {
+    /// The model's answer.
+    pub output: O,
+    /// The converged state, to warm-start the next solve.
+    pub state: S,
+    /// Fixed-point iterations the solve took.
+    pub iterations: usize,
+}
 
 /// One point of a latency curve.
 #[derive(Clone, Debug)]
-pub struct CurvePoint {
+pub struct CurvePoint<O> {
     /// The per-node generation rate of this point.
     pub lambda: f64,
     /// The model solution, or the saturation error past `λ*`.
-    pub result: Result<ModelOutput, ModelError>,
+    pub result: Result<O, ModelError>,
 }
 
-/// Evaluate the model at each `lambda`, in parallel on the pooled worker
+/// Solve `model` cold at each `lambda`, in parallel on the pooled worker
 /// threads.  Points come back in input order.
-pub fn latency_curve(base: ModelConfig, lambdas: &[f64]) -> Vec<CurvePoint> {
+pub fn latency_curve<M: LatencyModel>(model: &M, lambdas: &[f64]) -> Vec<CurvePoint<M::Output>> {
     lambdas
         .par_iter()
-        .map(|&lambda| {
-            let result = HotSpotModel::new(ModelConfig { lambda, ..base }).and_then(|m| m.solve());
-            CurvePoint { lambda, result }
-        })
-        .collect()
-}
-
-/// One point of a generalized n-cube latency curve.
-#[derive(Clone, Debug)]
-pub struct NCubeCurvePoint {
-    /// The per-node generation rate of this point.
-    pub lambda: f64,
-    /// The model solution, or the saturation error past `λ*`.
-    pub result: Result<NCubeOutput, ModelError>,
-}
-
-/// Evaluate the generalized model at each `lambda`, in parallel on the
-/// pooled worker threads.  Points come back in input order.
-pub fn ncube_latency_curve(base: NCubeConfig, lambdas: &[f64]) -> Vec<NCubeCurvePoint> {
-    lambdas
-        .par_iter()
-        .map(|&lambda| {
-            let result = NCubeModel::new(NCubeConfig { lambda, ..base }).and_then(|m| m.solve());
-            NCubeCurvePoint { lambda, result }
+        .map(|&lambda| CurvePoint {
+            lambda,
+            result: model.solve_from(lambda, None).map(|s| s.output),
         })
         .collect()
 }
@@ -81,8 +87,9 @@ pub fn solve_continued(configs: &[NCubeConfig]) -> Vec<Result<NCubeOutput, Model
     let mut warm: Option<Vec<f64>> = None;
     configs
         .iter()
-        .map(|&cfg| match NCubeModel::new(cfg) {
-            Ok(model) => match model.solve_warm(warm.as_deref()) {
+        .map(|&cfg| {
+            let solved = NCubeModel::new(cfg).and_then(|m| m.solve_warm(warm.as_deref()));
+            match solved {
                 Ok((out, state)) => {
                     warm = Some(state);
                     Ok(out)
@@ -91,45 +98,13 @@ pub fn solve_continued(configs: &[NCubeConfig]) -> Vec<Result<NCubeOutput, Model
                     warm = None;
                     Err(e)
                 }
-            },
-            Err(e) => {
-                warm = None;
-                Err(e)
             }
         })
         .collect()
 }
 
-/// [`ncube_latency_curve`] with warm-start continuation: the λ grid is
-/// split into one contiguous chunk per pooled worker, and each chunk is
-/// solved sequentially with the previous converged state as the next
-/// initial guess.  Points come back in input order.
-pub fn ncube_latency_curve_continued(base: NCubeConfig, lambdas: &[f64]) -> Vec<NCubeCurvePoint> {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(lambdas.len().max(1));
-    let chunk_len = lambdas.len().div_ceil(workers.max(1)).max(1);
-    let chunks: Vec<&[f64]> = lambdas.chunks(chunk_len).collect();
-    let per_chunk: Vec<Vec<NCubeCurvePoint>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let configs: Vec<NCubeConfig> = chunk
-                .iter()
-                .map(|&lambda| NCubeConfig { lambda, ..base })
-                .collect();
-            solve_continued(&configs)
-                .into_iter()
-                .zip(chunk.iter())
-                .map(|(result, &lambda)| NCubeCurvePoint { lambda, result })
-                .collect()
-        })
-        .collect();
-    per_chunk.into_iter().flatten().collect()
-}
-
 /// Why [`find_saturation`] could not produce a saturation rate.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SaturationError {
     /// The requested bracket is malformed: `lo`/`hi`/`rel_tol` must be
     /// finite with `0 <= lo < hi` and `rel_tol > 0`.
@@ -148,6 +123,9 @@ pub enum SaturationError {
         /// The largest rate probed before giving up.
         last_hi: f64,
     },
+    /// No probe above `lo` solved — typically an invalid configuration.
+    /// Carries the model's error from the last probe.
+    Unsolvable(ModelError),
 }
 
 impl std::fmt::Display for SaturationError {
@@ -162,6 +140,7 @@ impl std::fmt::Display for SaturationError {
                 f,
                 "saturation bracket not found: model still solvable at λ={last_hi:e}"
             ),
+            SaturationError::Unsolvable(e) => write!(f, "{e}"),
         }
     }
 }
@@ -195,154 +174,24 @@ impl SaturationReport {
     }
 }
 
-/// Find the saturation rate `λ*` of `base` by bisection: the largest rate
+/// Find the saturation rate `λ*` of `model` by bisection: the largest rate
 /// at which the model still has a solution, bracketed to a relative width
 /// of `rel_tol`.
 ///
-/// `hi` should be saturated and `lo` solvable (or zero); the function
-/// widens `hi` geometrically if it is not saturated yet.  If the widening
-/// runs away — the model stays solvable until `hi` stops being a useful
-/// rate — the search reports [`SaturationError::BracketNotFound`] instead
-/// of panicking.
-pub fn find_saturation(
-    base: ModelConfig,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<f64, SaturationError> {
-    find_saturation_report(base, lo, hi, rel_tol).map(|r| r.lambda_star)
-}
-
-/// [`find_saturation`] with the probe/iteration accounting.  The 2-D
-/// model is the `n = 2` instance of [`NCubeModel`] (bit-identical by the
-/// cross-validation suite), so the search probes the generalized solver
-/// directly and inherits its warm-start continuation.
-pub fn find_saturation_report(
-    base: ModelConfig,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<SaturationReport, SaturationError> {
-    find_saturation_ncube_report(base.as_ncube(), lo, hi, rel_tol)
-}
-
-/// [`find_saturation`] for the generalized n-cube model: the largest rate
-/// at which [`NCubeModel`] still has a solution, to relative width
-/// `rel_tol`.
-pub fn find_saturation_ncube(
-    base: NCubeConfig,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<f64, SaturationError> {
-    find_saturation_ncube_report(base, lo, hi, rel_tol).map(|r| r.lambda_star)
-}
-
-/// [`find_saturation_ncube`] with the probe/iteration accounting.  Every
+/// `hi` should be saturated and `lo` solvable (or zero); the search widens
+/// `hi` geometrically if it is not saturated yet, and reports
+/// [`SaturationError::BracketNotFound`] if the widening runs away.  Every
 /// probe is warm-started from the converged state of the last *solvable*
 /// probe — bisection probes cluster around `λ*`, so the states are close
-/// and most probes converge in a handful of iterations.
-pub fn find_saturation_ncube_report(
-    base: NCubeConfig,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<SaturationReport, SaturationError> {
-    let mut warm: Option<Vec<f64>> = None;
-    let mut probes = 0usize;
-    let mut iterations = 0usize;
-    let lambda_star = bisect_saturation(lo, hi, rel_tol, |lambda| {
-        probes += 1;
-        match NCubeModel::new(NCubeConfig { lambda, ..base }) {
-            Ok(model) => match model.solve_warm(warm.as_deref()) {
-                Ok((out, state)) => {
-                    iterations += out.iterations;
-                    warm = Some(state);
-                    true
-                }
-                Err(_) => false,
-            },
-            Err(_) => false,
-        }
-    })?;
-    Ok(SaturationReport {
-        lambda_star,
-        probes,
-        solver_iterations: iterations,
-    })
-}
-
-/// One point of a faulty-network latency curve.
-#[derive(Clone, Debug)]
-pub struct FaultyCurvePoint {
-    /// The per-node generation rate of this point.
-    pub lambda: f64,
-    /// The model solution, or the saturation error past `λ*`.
-    pub result: Result<FaultyNCubeOutput, ModelError>,
-}
-
-/// Evaluate the faulty-network model at each `lambda`, in parallel on the
-/// pooled worker threads.  The (expensive) route enumeration was done
-/// once at model construction, so every point reuses it; points come back
-/// in input order.
-pub fn faulty_latency_curve(model: &FaultyNCubeModel, lambdas: &[f64]) -> Vec<FaultyCurvePoint> {
-    lambdas
-        .par_iter()
-        .map(|&lambda| FaultyCurvePoint {
-            lambda,
-            result: model.solve_at(lambda),
-        })
-        .collect()
-}
-
-/// [`find_saturation_ncube`] for the faulty-network model: the largest
-/// rate at which [`FaultyNCubeModel`] still has a solution, to relative
-/// width `rel_tol`.
-pub fn find_saturation_faulty(
-    model: &FaultyNCubeModel,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<f64, SaturationError> {
-    find_saturation_faulty_report(model, lo, hi, rel_tol).map(|r| r.lambda_star)
-}
-
-/// [`find_saturation_faulty`] with the probe/iteration accounting.  The
-/// per-channel path is non-iterative (each solvable probe counts one
-/// iteration); the delegated fault-free path reports the closed-form
-/// solver's converged iteration counts.
-pub fn find_saturation_faulty_report(
-    model: &FaultyNCubeModel,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<SaturationReport, SaturationError> {
-    let mut probes = 0usize;
-    let mut iterations = 0usize;
-    let lambda_star = bisect_saturation(lo, hi, rel_tol, |lambda| {
-        probes += 1;
-        match model.solve_at(lambda) {
-            Ok(out) => {
-                iterations += out.iterations;
-                true
-            }
-            Err(_) => false,
-        }
-    })?;
-    Ok(SaturationReport {
-        lambda_star,
-        probes,
-        solver_iterations: iterations,
-    })
-}
-
-/// The shared bisection behind all the saturation searches.
-fn bisect_saturation(
+/// and most probes converge in a handful of iterations.  If no probe
+/// solves at all the search reports [`SaturationError::Unsolvable`]
+/// rather than a `λ*` pinned at `lo`.
+pub fn find_saturation<M: LatencyModel>(
+    model: &M,
     mut lo: f64,
     mut hi: f64,
     rel_tol: f64,
-    mut solvable: impl FnMut(f64) -> bool,
-) -> Result<f64, SaturationError> {
+) -> Result<SaturationReport, SaturationError> {
     if !(lo.is_finite() && hi.is_finite() && rel_tol.is_finite())
         || lo < 0.0
         || hi <= lo
@@ -350,6 +199,24 @@ fn bisect_saturation(
     {
         return Err(SaturationError::InvalidBracket { lo, hi, rel_tol });
     }
+    let mut warm: Option<M::State> = None;
+    let mut last_error = None;
+    let mut probes = 0usize;
+    let mut iterations = 0usize;
+    let mut solvable = |lambda: f64| {
+        probes += 1;
+        match model.solve_from(lambda, warm.as_ref()) {
+            Ok(solved) => {
+                iterations += solved.iterations;
+                warm = Some(solved.state);
+                true
+            }
+            Err(e) => {
+                last_error = Some(e);
+                false
+            }
+        }
+    };
     // Widen until hi is saturated (bounded: utilization grows linearly in
     // λ, so a few doublings always suffice for a solvable model; a model
     // that never saturates exhausts the guard instead).
@@ -370,18 +237,50 @@ fn bisect_saturation(
             hi = mid;
         }
     }
-    Ok(0.5 * (lo + hi))
+    if warm.is_none() {
+        return Err(SaturationError::Unsolvable(
+            last_error.expect("every probe failed, so one failure was recorded"),
+        ));
+    }
+    Ok(SaturationReport {
+        lambda_star: 0.5 * (lo + hi),
+        probes,
+        solver_iterations: iterations,
+    })
+}
+
+/// [`find_saturation`] of the [`NCubeModel`] built from `base` (its `λ`
+/// is ignored); an invalid `base` is [`SaturationError::Unsolvable`].
+pub fn find_saturation_ncube_report(
+    base: NCubeConfig,
+    lo: f64,
+    hi: f64,
+    rel_tol: f64,
+) -> Result<SaturationReport, SaturationError> {
+    let model = NCubeModel::new(base).map_err(SaturationError::Unsolvable)?;
+    find_saturation(&model, lo, hi, rel_tol)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{HotSpotModel, ModelConfig};
+
+    /// The paper's 2-D configuration as the generalized model.
+    fn paper(lm: u32, h: f64) -> NCubeModel {
+        NCubeModel::new(ModelConfig::paper_validation(16, 2, lm, 0.0, h).as_ncube()).unwrap()
+    }
+
+    fn saturation(model: &NCubeModel, lo: f64, hi: f64, tol: f64) -> f64 {
+        find_saturation(model, lo, hi, tol)
+            .expect("hot-spot configs saturate inside the bracket")
+            .lambda_star
+    }
 
     #[test]
     fn curve_reports_points_in_input_order() {
-        let base = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2);
         let lambdas = [1e-5, 1e-4, 2e-4, 9e-4];
-        let curve = latency_curve(base, &lambdas);
+        let curve = latency_curve(&paper(32, 0.2), &lambdas);
         assert_eq!(curve.len(), 4);
         for (p, &l) in curve.iter().zip(&lambdas) {
             assert_eq!(p.lambda, l);
@@ -394,9 +293,8 @@ mod tests {
 
     #[test]
     fn curve_latencies_monotone_until_saturation() {
-        let base = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.4);
         let lambdas: Vec<f64> = (1..=10).map(|i| i as f64 * 3e-5).collect();
-        let curve = latency_curve(base, &lambdas);
+        let curve = latency_curve(&paper(32, 0.4), &lambdas);
         let mut prev = 0.0;
         for p in curve.iter().filter(|p| p.result.is_ok()) {
             let l = p.result.as_ref().unwrap().latency;
@@ -409,9 +307,8 @@ mod tests {
     fn wide_curve_handles_hundreds_of_points() {
         // The pooled sweep must digest a grid far wider than the CPU
         // count (the old code spawned one OS thread per point).
-        let base = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2);
         let lambdas: Vec<f64> = (1..=400).map(|i| i as f64 * 2e-6).collect();
-        let curve = latency_curve(base, &lambdas);
+        let curve = latency_curve(&paper(32, 0.2), &lambdas);
         assert_eq!(curve.len(), 400);
         for (p, &l) in curve.iter().zip(&lambdas) {
             assert_eq!(p.lambda, l);
@@ -422,15 +319,7 @@ mod tests {
 
     #[test]
     fn saturation_orders_by_hot_fraction_and_length() {
-        let sat = |lm: u32, h: f64| {
-            find_saturation(
-                ModelConfig::paper_validation(16, 2, lm, 0.0, h),
-                1e-6,
-                1e-3,
-                1e-3,
-            )
-            .expect("paper configs saturate inside the bracket")
-        };
+        let sat = |lm: u32, h: f64| saturation(&paper(lm, h), 1e-6, 1e-3, 1e-3);
         let s20 = sat(32, 0.2);
         let s40 = sat(32, 0.4);
         let s70 = sat(32, 0.7);
@@ -446,12 +335,10 @@ mod tests {
 
     #[test]
     fn ncube_saturation_tracks_the_generalized_flit_bound() {
-        use crate::ncube::{NCubeConfig, NCubeModel};
         for (k, n, h) in [(8u32, 3u32, 0.3f64), (4, 4, 0.5), (16, 2, 0.2)] {
-            let base = NCubeConfig::new(k, n, 2, 16, 0.0, h);
-            let bound = NCubeModel::new(base).unwrap().flit_bound();
-            let sat = find_saturation_ncube(base, 1e-9, 1e-1, 1e-3)
-                .expect("hot-spot n-cubes saturate inside the bracket");
+            let model = NCubeModel::new(NCubeConfig::new(k, n, 2, 16, 0.0, h)).unwrap();
+            let bound = model.flit_bound();
+            let sat = saturation(&model, 1e-9, 1e-1, 1e-3);
             assert!(
                 sat < bound && sat > 0.5 * bound,
                 "k={k} n={n} h={h}: λ*={sat:.3e} vs flit bound {bound:.3e}"
@@ -463,13 +350,13 @@ mod tests {
     fn ncube_curve_matches_2d_curve_at_n2() {
         let base2d = ModelConfig::paper_validation(8, 2, 16, 0.0, 0.3);
         let lambdas = [2e-5, 1e-4, 2e-4];
-        let a = latency_curve(base2d, &lambdas);
-        let b = ncube_latency_curve(base2d.as_ncube(), &lambdas);
-        for (pa, pb) in a.iter().zip(&b) {
-            match (&pa.result, &pb.result) {
+        let curve = latency_curve(&NCubeModel::new(base2d.as_ncube()).unwrap(), &lambdas);
+        for (p, &lambda) in curve.iter().zip(&lambdas) {
+            let paper = HotSpotModel::new(ModelConfig { lambda, ..base2d }).and_then(|m| m.solve());
+            match (&paper, &p.result) {
                 (Ok(x), Ok(y)) => assert_eq!(x.latency.to_bits(), y.latency.to_bits()),
                 (Err(_), Err(_)) => {}
-                other => panic!("solvability mismatch at λ={}: {other:?}", pa.lambda),
+                other => panic!("solvability mismatch at λ={lambda}: {other:?}"),
             }
         }
     }
@@ -478,12 +365,15 @@ mod tests {
     fn continued_curve_matches_the_cold_curve() {
         let base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
         let lambdas: Vec<f64> = (1..=40).map(|i| i as f64 * 2e-6).collect();
-        let cold = ncube_latency_curve(base, &lambdas);
-        let warm = ncube_latency_curve_continued(base, &lambdas);
+        let cold = latency_curve(&NCubeModel::new(base).unwrap(), &lambdas);
+        let configs: Vec<NCubeConfig> = lambdas
+            .iter()
+            .map(|&lambda| NCubeConfig { lambda, ..base })
+            .collect();
+        let warm = solve_continued(&configs);
         assert_eq!(warm.len(), cold.len());
         for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.lambda, w.lambda);
-            match (&c.result, &w.result) {
+            match (&c.result, w) {
                 (Ok(a), Ok(b)) => {
                     // The default service model's fixed point is reached
                     // exactly from any start, so the curves agree bitwise.
@@ -506,7 +396,7 @@ mod tests {
         use kncube_queueing::fixed_point::Acceleration;
         let mut base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
         base.service_model = ServiceTimeModel::PathOccupancy;
-        let sat = find_saturation_ncube(base, 1e-9, 1e-1, 1e-6).unwrap();
+        let sat = saturation(&NCubeModel::new(base).unwrap(), 1e-9, 1e-1, 1e-6);
         let points = 32usize;
         let lambdas: Vec<f64> = (0..points)
             .map(|i| sat * (0.98 + (0.9999 - 0.98) * i as f64 / (points - 1) as f64))
@@ -565,23 +455,22 @@ mod tests {
     #[test]
     fn saturation_report_surfaces_probe_and_iteration_counts() {
         let base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
-        let report = find_saturation_ncube_report(base, 1e-9, 1e-1, 1e-3).unwrap();
-        let plain = find_saturation_ncube(base, 1e-9, 1e-1, 1e-3).unwrap();
-        assert_eq!(report.lambda_star, plain);
+        let report = find_saturation(&NCubeModel::new(base).unwrap(), 1e-9, 1e-1, 1e-3).unwrap();
         assert!(report.probes > 10, "bisection probes: {}", report.probes);
         assert!(report.solver_iterations > 0);
         assert!(report.mean_iterations() > 0.0);
-        // The 2-D wrapper reports through the same machinery.
-        let base2d = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2);
-        let r2d = find_saturation_report(base2d, 1e-6, 1e-3, 1e-3).unwrap();
-        let plain2d = find_saturation(base2d, 1e-6, 1e-3, 1e-3).unwrap();
-        assert_eq!(r2d.lambda_star, plain2d);
-        assert!(r2d.solver_iterations > 0);
+        // The config-level forward reports through the same search.
+        let forward = find_saturation_ncube_report(base, 1e-9, 1e-1, 1e-3).unwrap();
+        assert_eq!(forward.lambda_star.to_bits(), report.lambda_star.to_bits());
+        assert_eq!(
+            (forward.probes, forward.solver_iterations),
+            (report.probes, report.solver_iterations)
+        );
     }
 
     #[test]
     fn malformed_brackets_are_errors_not_panics() {
-        let base = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2);
+        let model = paper(32, 0.2);
         for (lo, hi, tol) in [
             (1e-3, 1e-6, 1e-3),         // inverted
             (-1.0, 1e-3, 1e-3),         // negative lo
@@ -589,10 +478,30 @@ mod tests {
             (0.0, f64::INFINITY, 1e-3), // non-finite hi
             (0.0, f64::NAN, 1e-3),      // NaN hi
         ] {
-            match find_saturation(base, lo, hi, tol) {
+            match find_saturation(&model, lo, hi, tol) {
                 Err(SaturationError::InvalidBracket { .. }) => {}
                 other => panic!("expected InvalidBracket for ({lo}, {hi}, {tol}), got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn unsolvable_models_are_errors_not_a_lambda_star_at_lo() {
+        // Every probe of an invalid configuration fails; the search must
+        // say so instead of reporting λ* ≈ lo.
+        let bad = NCubeConfig::new(16, 2, 2, 32, 0.0, 1.5);
+        match find_saturation_ncube_report(bad, 1e-9, 1e-1, 1e-3) {
+            Err(SaturationError::Unsolvable(ModelError::BadConfig(_))) => {}
+            other => panic!("expected Unsolvable for h = 1.5, got {other:?}"),
+        }
+        // A valid model whose whole bracket lies past λ* fails the same
+        // way, carrying the solver's own error.
+        match find_saturation(&paper(32, 0.2), 1e-2, 1e-1, 1e-3) {
+            Err(SaturationError::Unsolvable(e)) => assert!(
+                matches!(e, ModelError::Saturated { .. } | ModelError::NotConverged),
+                "{e:?}"
+            ),
+            other => panic!("expected Unsolvable past λ*, got {other:?}"),
         }
     }
 }

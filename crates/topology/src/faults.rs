@@ -406,7 +406,9 @@ impl FaultRouter {
             };
             hop.channel.id(&self.topo).index() * 2 + class
         };
-        let mut adj = vec![false; nv * nv];
+        // Out-lists stay short (a channel feeds only the outgoing channels
+        // of its head node, in two classes), so deduplicating by scan is
+        // cheap and needs no dense nv × nv matrix.
         let mut out: Vec<Vec<u32>> = vec![Vec::new(); nv];
         for src in self.topo.nodes() {
             if self.faults.node_failed(src) {
@@ -424,8 +426,7 @@ impl FaultRouter {
                         .expect("finite distance implies a next hop");
                     let v = vertex(&hop);
                     if let Some(u) = prev {
-                        if !adj[u * nv + v] {
-                            adj[u * nv + v] = true;
+                        if !out[u].contains(&(v as u32)) {
                             out[u].push(v as u32);
                         }
                     }

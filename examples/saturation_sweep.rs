@@ -11,7 +11,7 @@
 //! cargo run --release --example saturation_sweep
 //! ```
 
-use kncube::model::{find_saturation, ModelConfig};
+use kncube::model::{find_saturation_ncube_report, ModelConfig};
 
 fn main() {
     let (k, v) = (16u32, 2u32);
@@ -29,8 +29,9 @@ fn main() {
         print!("{h:>6.2}");
         for lm in lengths {
             let base = ModelConfig::paper_validation(k, v, lm, 0.0, h);
-            let sat = find_saturation(base, 1e-8, 1e-2, 1e-3)
-                .expect("swept configurations saturate inside the bracket");
+            let sat = find_saturation_ncube_report(base.as_ncube(), 1e-8, 1e-2, 1e-3)
+                .expect("swept configurations saturate inside the bracket")
+                .lambda_star;
             print!(" {sat:>11.3e}");
         }
         println!();

@@ -74,13 +74,14 @@ fn virtual_channels_only_help_capacity() {
     // bandwidth, so latency can rise slightly, but the saturation rate
     // must not shrink).
     let sat = |v: u32| {
-        kncube::model::find_saturation(
-            ModelConfig::paper_validation(16, v, 32, 0.0, 0.4),
+        kncube::model::find_saturation_ncube_report(
+            ModelConfig::paper_validation(16, v, 32, 0.0, 0.4).as_ncube(),
             1e-8,
             1e-2,
             1e-3,
         )
         .expect("paper configurations saturate inside the bracket")
+        .lambda_star
     };
     let s2 = sat(2);
     let s4 = sat(4);

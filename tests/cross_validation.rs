@@ -13,14 +13,16 @@
 //!   not a tautology.
 
 use kncube::model::{
-    find_saturation, HotSpotModel, HypercubeModel, ModelConfig, ModelVariant, MultiplexingModel,
-    NCubeConfig, NCubeModel, ServiceTimeModel,
+    find_saturation_ncube_report, HotSpotModel, HypercubeModel, ModelConfig, ModelVariant,
+    MultiplexingModel, NCubeConfig, NCubeModel, ServiceTimeModel,
 };
 
 /// A λ grid of `points` rates up to `top` times the 2-D model's
 /// saturation rate.
 fn lambda_grid_2d(base: ModelConfig, points: usize, top: f64) -> Vec<f64> {
-    let sat = find_saturation(base, 1e-9, 1e-1, 1e-3).expect("2-D hot-spot configs saturate");
+    let sat = find_saturation_ncube_report(base.as_ncube(), 1e-9, 1e-1, 1e-3)
+        .expect("2-D hot-spot configs saturate")
+        .lambda_star;
     (1..=points)
         .map(|i| sat * top * i as f64 / points as f64)
         .collect()

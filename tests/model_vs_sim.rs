@@ -7,7 +7,9 @@
 //! on small networks (debug-build friendly); the full 256-node figures are
 //! regenerated by `cargo run --release -p kncube-bench --bin figure1/2`.
 
-use kncube::model::{find_saturation_ncube, HotSpotModel, ModelConfig, NCubeConfig, NCubeModel};
+use kncube::model::{
+    find_saturation_ncube_report, HotSpotModel, ModelConfig, NCubeConfig, NCubeModel,
+};
 use kncube::sim::{SimConfig, SimReport, Simulator};
 
 /// Run both model and simulation, returning (model, sim) mean latencies.
@@ -119,7 +121,9 @@ fn ncube_8_3_hot_spot_within_the_sim_confidence_interval() {
     // with the calibration run's own CI widening the band.
     let (k, n, h) = (8u32, 3u32, 0.2f64);
     let base = NCubeConfig::new(k, n, 2, 16, 0.0, h);
-    let sat = find_saturation_ncube(base, 1e-9, 1e-1, 1e-3).expect("hot-spot cubes saturate");
+    let sat = find_saturation_ncube_report(base, 1e-9, 1e-1, 1e-3)
+        .expect("hot-spot cubes saturate")
+        .lambda_star;
 
     let solve = |lambda: f64| {
         NCubeModel::new(NCubeConfig { lambda, ..base })
@@ -159,7 +163,9 @@ fn ncube_8_3_hot_spot_within_the_sim_confidence_interval() {
 fn ncube_8_3_ranks_hot_and_regular_like_the_simulator() {
     let (k, n, h) = (8u32, 3u32, 0.4f64);
     let base = NCubeConfig::new(k, n, 2, 16, 0.0, h);
-    let sat = find_saturation_ncube(base, 1e-9, 1e-1, 1e-3).expect("hot-spot cubes saturate");
+    let sat = find_saturation_ncube_report(base, 1e-9, 1e-1, 1e-3)
+        .expect("hot-spot cubes saturate")
+        .lambda_star;
     let lambda = 0.3 * sat;
     let model = NCubeModel::new(NCubeConfig { lambda, ..base })
         .unwrap()

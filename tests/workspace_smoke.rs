@@ -3,7 +3,7 @@
 //! round-trips through both the analytical model and a short simulator
 //! run with consistent answers.
 
-use kncube::model::{latency_curve, HotSpotModel, ModelConfig};
+use kncube::model::{find_saturation, latency_curve, HotSpotModel, ModelConfig, NCubeModel};
 use kncube::sim::{SimConfig, Simulator};
 
 /// One modest operating point shared by every check below: an 8×8 torus
@@ -75,10 +75,12 @@ fn paper_validation_round_trips_model_and_simulator() {
 fn sweep_entrypoint_is_reachable_through_the_facade() {
     let base = ModelConfig::paper_validation(K, V, LM, 0.0, H);
     let grid = [0.5 * lambda(), lambda()];
-    let curve = latency_curve(base, &grid);
+    let model = NCubeModel::new(base.as_ncube()).unwrap();
+    let curve = latency_curve(&model, &grid);
     assert_eq!(curve.len(), 2);
     assert!(curve.iter().all(|p| p.result.is_ok()));
-    let sat = kncube::model::find_saturation(base, 1e-8, 1e-1, 1e-3)
-        .expect("paper configurations saturate inside the bracket");
+    let sat = find_saturation(&model, 1e-8, 1e-1, 1e-3)
+        .expect("paper configurations saturate inside the bracket")
+        .lambda_star;
     assert!(sat > grid[1], "grid was supposed to sit below saturation");
 }
