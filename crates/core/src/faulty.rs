@@ -9,10 +9,10 @@
 //! altogether.  [`FaultyNCubeModel`] rebuilds the same queueing chain
 //! directly per directed channel:
 //!
-//! 1. **Rates** — [`FaultyChannelRates`] walks every ordered reachable
-//!    pair's surviving route once and accumulates the exact regular and
-//!    hot-spot rate per channel (detour-corrected load redistribution);
-//!    unreachable pairs contribute nothing, matching the simulator's
+//! 1. **Rates** — [`FaultyChannelRates`] accumulates the exact regular
+//!    and hot-spot rate per channel over every ordered reachable pair's
+//!    surviving route (detour-corrected load redistribution); unreachable
+//!    pairs contribute nothing, matching the simulator's
 //!    drop-at-generation semantics.
 //! 2. **Blocking** — each channel gets the paper's two-class blocking
 //!    operator (Eqs. 26–30) at its own rates, under the default
@@ -22,6 +22,11 @@
 //!    by the multiplexing factor of its entry channel (Eqs. 33–35) and
 //!    the source queue adds the Eq. (28) M/G/1 wait at rate `λ_inj / V`,
 //!    where `λ_inj` counts only the *delivered* share of generation.
+//!
+//! Rates and composition read the routes through per-destination in-trees
+//! ([`FaultRouter::tree`]) rather than walking them pair by pair: one
+//! next-hop lookup per (node, destination), so construction and every
+//! solve cost `O(N²)` lookups, not `O(N²·D)`.
 //!
 //! Superposition is approximate exactly where it is in the paper: channel
 //! arrivals are treated as independent Poisson streams even though the
@@ -43,12 +48,8 @@ use crate::sweep::{LatencyModel, SaturationError, SaturationReport, Solved};
 use kncube_queueing::blocking::{channel_metrics, TrafficClass};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
+use kncube_topology::faults::MAX_FAULT_ROUTER_NODES;
 use kncube_topology::{Boundary, ChannelId, FaultRouter, FaultSet, KAryNCube, LinkKind, NodeId};
-
-/// Hard cap on `N = k^n` for the faulty model: every solve walks all
-/// `N²` routes, so the practical regime is small networks (the same ones
-/// the exact [`FaultRouter`] substrate targets).
-pub const MAX_FAULTY_MODEL_NODES: u64 = 1 << 12;
 
 /// Configuration of the faulty-network model.
 ///
@@ -138,13 +139,22 @@ pub struct FaultyNCubeOutput {
 }
 
 /// The faulty-network latency model.  See the module docs for the
-/// decomposition; construction performs the (one-off) route enumeration,
-/// so re-solving at other rates ([`FaultyNCubeModel::solve_at`]) reuses
-/// the accumulated per-channel unit loads.
+/// decomposition; construction builds the router, the per-channel unit
+/// loads and the reachability census once, so re-solving at other rates
+/// ([`FaultyNCubeModel::solve_at`]) costs one `O(N²)` composition pass.
 pub struct FaultyNCubeModel {
     config: FaultyNCubeConfig,
     router: FaultRouter,
     rates: FaultyChannelRates,
+    census: Census,
+}
+
+/// The router's reachability census, fixed by the fault set and taken
+/// once per model.
+struct Census {
+    reachable_pairs: u64,
+    reachable_fraction: f64,
+    mean_detour_hops: f64,
 }
 
 impl FaultyNCubeModel {
@@ -170,9 +180,9 @@ impl FaultyNCubeModel {
                 "lambda must be finite and non-negative".into(),
             ));
         }
-        if u64::from(topo.num_nodes()) > MAX_FAULTY_MODEL_NODES {
+        if topo.num_nodes() > MAX_FAULT_ROUTER_NODES {
             return Err(ModelError::BadConfig(format!(
-                "faulty model limited to {MAX_FAULTY_MODEL_NODES} nodes (got {})",
+                "faulty model limited to {MAX_FAULT_ROUTER_NODES} nodes (got {})",
                 topo.num_nodes()
             )));
         }
@@ -185,10 +195,18 @@ impl FaultyNCubeModel {
         }
         let router = FaultRouter::new(config.faults.clone());
         let rates = FaultyChannelRates::from_router(&router, config.hot_node, config.hot_fraction);
+        let reachable_pairs = router.reachable_pairs();
+        let n = u64::from(topo.num_nodes());
+        let census = Census {
+            reachable_pairs,
+            reachable_fraction: reachable_pairs as f64 / (n * (n - 1)) as f64,
+            mean_detour_hops: router.expected_detour(),
+        };
         Ok(FaultyNCubeModel {
             config,
             router,
             rates,
+            census,
         })
     }
 
@@ -338,59 +356,52 @@ impl FaultyNCubeModel {
             return Err(ModelError::Saturated { max_utilization });
         }
 
-        // --- Per-source composition over the same route enumeration.
-        let mut regular_num = 0.0;
-        let mut regular_den = 0.0;
-        let mut hot_num = 0.0;
-        let mut hot_den = 0.0;
-        let mut wait_sum = 0.0;
-        let mut healthy_sources = 0u32;
-        // (network latency, entry-channel v̄, is-hot-destination) per
-        // reachable destination of the current source.
-        let mut pairs: Vec<(f64, f64, bool)> = Vec::with_capacity(n_nodes as usize);
-        for src in topo.nodes() {
-            if self.config.faults.node_failed(src) {
-                continue;
-            }
-            healthy_sources += 1;
-            let regular_share = if src == hot_node { 1.0 } else { 1.0 - h };
-            let pair_weight = regular_share / others;
-            pairs.clear();
-            let mut service_num = 0.0;
-            let mut delivered_weight = 0.0;
-            for dest in topo.nodes() {
-                if dest == src || self.router.distance(src, dest).is_none() {
-                    continue;
-                }
-                let mut s_net = lm;
-                let mut entry_vbar = 0.0;
-                let mut cur = src;
-                while cur != dest {
-                    let hop = self
-                        .router
-                        .next_hop(cur, dest)
-                        .expect("finite distance implies a next hop");
-                    let id = hop.channel.id(&topo).index();
-                    if cur == src {
-                        entry_vbar = vbar[id];
-                    }
-                    s_net += 1.0 + blocking[id];
-                    cur = hop.channel.to(&topo);
-                }
-                let is_hot = dest == hot_node && src != hot_node;
+        // --- Per-destination tree passes, nearest first: a source's
+        // network latency to `dest` is its next hop's plus one hop,
+        // `S(cur) = S(next) + 1 + B[hop(cur)]` with `S(dest) = Lm`.  The
+        // pair term `(S + wait)·v̄` is linear in the source's wait, so the
+        // passes sum its wait-free part and the Eq. (28) waits are applied
+        // per source afterwards.
+        let (mut regular_num, mut regular_den, mut hot_num, mut hot_den) = (0.0, 0.0, 0.0, 0.0);
+        let mut sources = vec![SourceSums::default(); n_nodes as usize];
+        let mut s_net = vec![lm; n_nodes as usize];
+        let mut order = Vec::new();
+        for dest in topo.nodes() {
+            self.router.tree(dest, &mut order);
+            s_net[dest.index()] = lm;
+            for &src in &order {
+                let hop = self
+                    .router
+                    .next_hop(src, dest)
+                    .expect("tree nodes have a next hop");
+                let id = hop.channel.id(&topo).index();
+                let s = s_net[hop.channel.to(&topo).index()] + 1.0 + blocking[id];
+                s_net[src.index()] = s;
+                let pair_weight = if src == hot_node { 1.0 } else { 1.0 - h } / others;
+                let sums = &mut sources[src.index()];
+                sums.regular_vbar += pair_weight * vbar[id];
+                regular_num += pair_weight * s * vbar[id];
+                regular_den += pair_weight;
                 let mut weight = pair_weight;
-                if is_hot {
+                if dest == hot_node {
                     weight += h;
+                    sums.hot_vbar = h * vbar[id];
+                    hot_num += h * s * vbar[id];
+                    hot_den += h;
                 }
-                service_num += weight * s_net;
-                delivered_weight += weight;
-                pairs.push((s_net, entry_vbar, is_hot));
+                sums.service_num += weight * s;
+                sums.delivered_weight += weight;
             }
+        }
+        let (mut wait_sum, mut healthy_sources) = (0.0, 0.0);
+        for src in topo.nodes().filter(|&s| !self.config.faults.node_failed(s)) {
+            healthy_sources += 1.0;
+            let sums = &sources[src.index()];
             // Source queue: Eq. (28) at the *delivered* injection rate per
             // VC, with the delivered-mix mean network latency as service.
-            let wait = if delivered_weight > 0.0 {
-                let service = service_num / delivered_weight;
-                let injection = lambda * delivered_weight / v as f64;
+            let wait = if sums.delivered_weight > 0.0 {
+                let service = sums.service_num / sums.delivered_weight;
+                let injection = lambda * sums.delivered_weight / v as f64;
                 mg1::waiting_time(injection, service, lm).map_err(|sat| ModelError::Saturated {
                     max_utilization: sat.rho,
                 })?
@@ -398,39 +409,39 @@ impl FaultyNCubeModel {
                 0.0
             };
             wait_sum += wait;
-            for &(s_net, entry_vbar, is_hot) in &pairs {
-                let scaled = (s_net + wait) * entry_vbar;
-                regular_num += pair_weight * scaled;
-                regular_den += pair_weight;
-                if is_hot {
-                    hot_num += h * scaled;
-                    hot_den += h;
-                }
-            }
+            regular_num += wait * sums.regular_vbar;
+            hot_num += wait * sums.hot_vbar;
         }
         let latency_num = regular_num + hot_num;
         let latency_den = regular_den + hot_den;
 
         let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-        let n64 = u64::from(n_nodes);
         Ok(FaultyNCubeOutput {
             latency: ratio(latency_num, latency_den),
             regular_latency: ratio(regular_num, regular_den),
             hot_latency: ratio(hot_num, hot_den),
-            source_wait_regular: if healthy_sources > 0 {
-                wait_sum / healthy_sources as f64
-            } else {
-                0.0
-            },
+            source_wait_regular: ratio(wait_sum, healthy_sources),
             max_utilization,
-            reachable_pairs: self.rates.reachable_pairs(),
-            reachable_fraction: self.rates.reachable_pairs() as f64 / (n64 * (n64 - 1)) as f64,
-            mean_detour_hops: self.router.expected_detour(),
+            reachable_pairs: self.census.reachable_pairs,
+            reachable_fraction: self.census.reachable_fraction,
+            mean_detour_hops: self.census.mean_detour_hops,
             delivered_fraction: latency_den / n_nodes as f64,
             iterations: 1,
             delegated: false,
         })
     }
+}
+
+/// One source's sums over its reachable destinations, from the tree
+/// passes of [`FaultyNCubeModel::solve_general_at`]: the delivered-weighted
+/// network latency and delivered share that set its Eq. (28) wait, and
+/// the class-weighted entry-channel v̄ that scale that wait.
+#[derive(Clone, Copy, Default)]
+struct SourceSums {
+    service_num: f64,
+    delivered_weight: f64,
+    regular_vbar: f64,
+    hot_vbar: f64,
 }
 
 /// Solves through [`FaultyNCubeModel::solve_at`], reusing the enumerated
@@ -695,6 +706,18 @@ mod tests {
         ));
         assert!(matches!(
             ok(FaultyNCubeConfig::new(empty(topo), 2, 16, 1e-4, 0.2).with_hot_node(NodeId(16))),
+            Err(ModelError::BadConfig(_))
+        ));
+    }
+
+    #[test]
+    fn networks_beyond_the_router_limit_are_rejected_before_building_it() {
+        // 32768 nodes: the router's N × N distance table would be 2 GiB.
+        let topo = KAryNCube::bidirectional(8, 5).unwrap();
+        let mut faults = FaultSet::none(topo);
+        faults.fail_node(NodeId(7));
+        assert!(matches!(
+            FaultyNCubeModel::new(FaultyNCubeConfig::new(faults, 2, 16, 1e-4, 0.2)),
             Err(ModelError::BadConfig(_))
         ));
     }

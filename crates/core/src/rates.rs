@@ -185,8 +185,8 @@ impl Rates {
 /// destination over the fault-free dimension-order route.  With faults the
 /// load redistributes along the detoured shortest surviving routes, and
 /// pairs with no surviving route contribute nothing (the simulator drops
-/// them at generation).  This struct walks every ordered reachable pair
-/// once and accumulates, per directed channel:
+/// them at generation).  Every ordered reachable pair contributes, per
+/// directed channel of its route:
 ///
 /// * **regular** traffic — each healthy source spreads its uniform share
 ///   over the *other* `N - 1` nodes (delivered only where reachable); the
@@ -194,57 +194,60 @@ impl Rates {
 /// * **hot-spot** traffic — each healthy non-hot source adds rate `λh`
 ///   along its surviving route to the hot node.
 ///
+/// The routes into one destination form an in-tree
+/// ([`FaultRouter::tree`]), so one farthest-first pass per destination
+/// accumulates every channel's load as the summed share of the subtree
+/// routed through it: `O(N)` next-hop lookups per destination.
+///
 /// Rates are stored per unit `λ`; multiply by the per-node generation rate
 /// at query time, which keeps one enumeration valid for a whole λ sweep.
 #[derive(Clone, Debug)]
 pub struct FaultyChannelRates {
     regular_unit: Vec<f64>,
     hot_unit: Vec<f64>,
-    reachable_pairs: u64,
-    hot_fraction: f64,
 }
 
 impl FaultyChannelRates {
-    /// Enumerate the surviving routes of `router` and accumulate the
-    /// per-channel rates for hot node `hot` and hot fraction
-    /// `hot_fraction` (`0 <= h <= 1`).
+    /// Accumulate the per-channel rates of the surviving routes of
+    /// `router` for hot node `hot` and hot fraction `hot_fraction`
+    /// (`0 <= h <= 1`).
     pub fn from_router(router: &FaultRouter, hot: NodeId, hot_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&hot_fraction));
         let topo = *router.topology();
         let n_nodes = topo.num_nodes();
         let mut regular_unit = vec![0.0; topo.num_channels() as usize];
         let mut hot_unit = vec![0.0; topo.num_channels() as usize];
-        let mut reachable_pairs = 0u64;
         let others = (n_nodes - 1) as f64;
-        for src in topo.nodes() {
+        // (regular, hot) unit load routed through each node: its own share
+        // plus everything its subtree sends through it.
+        let mut load = vec![(0.0, 0.0); n_nodes as usize];
+        let mut order = Vec::new();
+        for dest in topo.nodes() {
+            router.tree(dest, &mut order);
             // The hot node generates only regular traffic; everyone else
-            // splits `1 - h` uniform / `h` hot.  Failed sources generate
-            // traffic that is dropped whole (no reachable destination).
-            let regular_share = if src == hot { 1.0 } else { 1.0 - hot_fraction };
-            for dest in topo.nodes() {
-                if dest == src || router.distance(src, dest).is_none() {
-                    continue;
-                }
-                reachable_pairs += 1;
-                let mut cur = src;
-                while cur != dest {
-                    let hop = router
-                        .next_hop(cur, dest)
-                        .expect("finite distance implies a next hop");
-                    let id = hop.channel.id(&topo).index();
-                    regular_unit[id] += regular_share / others;
-                    if dest == hot && src != hot {
-                        hot_unit[id] += hot_fraction;
-                    }
-                    cur = hop.channel.to(&topo);
-                }
+            // splits `1 - h` uniform / `h` hot.  Failed sources are in no
+            // tree: their traffic is dropped whole.
+            let hot_share = if dest == hot { hot_fraction } else { 0.0 };
+            for &src in &order {
+                let regular_share = if src == hot { 1.0 } else { 1.0 - hot_fraction };
+                load[src.index()] = (regular_share / others, hot_share);
+            }
+            for &cur in order.iter().rev() {
+                let hop = router
+                    .next_hop(cur, dest)
+                    .expect("tree nodes have a next hop");
+                let (regular, hot_load) = load[cur.index()];
+                let id = hop.channel.id(&topo).index();
+                regular_unit[id] += regular;
+                hot_unit[id] += hot_load;
+                // `dest`'s own entry is never read in this pass.
+                let next = &mut load[hop.channel.to(&topo).index()];
+                *next = (next.0 + regular, next.1 + hot_load);
             }
         }
         FaultyChannelRates {
             regular_unit,
             hot_unit,
-            reachable_pairs,
-            hot_fraction,
         }
     }
 
@@ -265,23 +268,6 @@ impl FaultyChannelRates {
     /// Combined rate on `channel` at per-node generation rate `lambda`.
     pub fn total_rate(&self, channel: ChannelId, lambda: f64) -> f64 {
         self.regular_rate(channel, lambda) + self.hot_rate(channel, lambda)
-    }
-
-    /// Number of directed channels in the topology (indexable by
-    /// [`ChannelId`]).
-    pub fn num_channels(&self) -> usize {
-        self.regular_unit.len()
-    }
-
-    /// Ordered pairs `(src, dest)` with a surviving route, counted during
-    /// the enumeration (matches [`FaultRouter::reachable_pairs`] exactly).
-    pub fn reachable_pairs(&self) -> u64 {
-        self.reachable_pairs
-    }
-
-    /// Hot fraction `h` the rates were accumulated with.
-    pub fn hot_fraction(&self) -> f64 {
-        self.hot_fraction
     }
 }
 
@@ -457,7 +443,6 @@ mod tests {
             (sum_hot - expected_hot).abs() < 1e-9,
             "{sum_hot} {expected_hot}"
         );
-        assert_eq!(rates.reachable_pairs(), router.reachable_pairs());
         // Channels incident to the failed router carry nothing.
         for dim in 0..topo.n() {
             for direction in [Direction::Plus, Direction::Minus] {

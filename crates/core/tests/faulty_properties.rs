@@ -87,7 +87,7 @@ proptest! {
             apply(&mut faults, elem);
             let cur = model(faults.clone(), 1e-7);
             let out = cur.solve().unwrap();
-            if cur.channel_rates().reachable_pairs() == prev.channel_rates().reachable_pairs()
+            if cur.router().reachable_pairs() == prev.router().reachable_pairs()
             {
                 prop_assert!(
                     out.latency >= prev_latency - 1e-6,
@@ -116,7 +116,6 @@ proptest! {
         }
         let m = model(faults.clone(), 1e-6);
         let census = FaultRouter::new(faults).reachable_pairs();
-        prop_assert_eq!(m.channel_rates().reachable_pairs(), census);
         let out = m.solve().unwrap();
         prop_assert_eq!(out.reachable_pairs, census);
         let n = topo.num_nodes() as u64;
@@ -147,8 +146,8 @@ proptest! {
         const REL_TOL: f64 = 1e-3;
         let hold = 17.0; // Lm + 1
         let max_unit = |m: &FaultyNCubeModel| -> f64 {
-            (0..m.channel_rates().num_channels())
-                .map(|i| m.channel_rates().total_rate(ChannelId(i as u32), 1.0))
+            (0..topo.num_channels())
+                .map(|i| m.channel_rates().total_rate(ChannelId(i), 1.0))
                 .fold(0.0f64, f64::max)
         };
         let mut faults = FaultSet::none(topo);
@@ -157,7 +156,7 @@ proptest! {
         for &(from, dim, plus) in &links {
             apply(&mut faults, &FaultElem::Link { from, dim, plus });
             let cur = model(faults.clone(), 0.0);
-            if cur.channel_rates().reachable_pairs() == 0 {
+            if cur.router().reachable_pairs() == 0 {
                 break;
             }
             let sat = cur.saturation(1e-9, 1e-1, REL_TOL).unwrap().lambda_star;
@@ -167,7 +166,7 @@ proptest! {
                 "λ* {} exceeds the capacity bound {} on {:?}",
                 sat, bound, topo
             );
-            if cur.channel_rates().reachable_pairs() == prev.channel_rates().reachable_pairs()
+            if cur.router().reachable_pairs() == prev.router().reachable_pairs()
                 && max_unit(&cur) > max_unit(&prev) * (1.0 + 1e-9)
             {
                 prop_assert!(

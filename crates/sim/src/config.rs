@@ -1,5 +1,6 @@
 //! Simulator configuration.
 
+use kncube_topology::faults::MAX_FAULT_ROUTER_NODES;
 use kncube_topology::{Boundary, KAryNCube, LinkKind, NodeId, TopologyError};
 use kncube_traffic::{ArrivalProcess, FaultSpec, TrafficPattern};
 use std::fmt;
@@ -173,6 +174,14 @@ impl SimConfig {
             if !spec.is_valid() {
                 return Err(SimConfigError::Invalid(
                     "fault probabilities must lie in [0, 1]",
+                ));
+            }
+            if self
+                .topology()
+                .is_ok_and(|t| t.num_nodes() > MAX_FAULT_ROUTER_NODES)
+            {
+                return Err(SimConfigError::Invalid(
+                    "network too large for the fault router's N × N distance table",
                 ));
             }
         }

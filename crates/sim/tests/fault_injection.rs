@@ -4,7 +4,7 @@
 //! mesh (where the fault router reproduces dimension-order routing
 //! exactly, virtual-channel classes included).
 
-use kncube_sim::{SimConfig, SimReport, Simulator};
+use kncube_sim::{SimConfig, SimConfigError, SimReport, Simulator};
 use kncube_topology::{Boundary, LinkKind};
 use kncube_traffic::FaultSpec;
 
@@ -225,4 +225,25 @@ fn fully_partitioned_network_drops_everything_without_panicking() {
     assert_eq!(report.generated, report.dropped_unreachable);
     assert!(!report.deadlocked, "an idle network is not deadlocked");
     assert_eq!(report.reachable_fraction, 0.0);
+}
+
+#[test]
+fn fault_injection_beyond_the_router_limit_is_rejected_up_front() {
+    // An (8,5) bi-torus has 32768 nodes: its fault router's N × N distance
+    // table would be 2 GiB.  The config is refused before anything is
+    // built; the 4096-node (16,3) limit itself is accepted.
+    let spec = FaultSpec {
+        router_failure_prob: 0.02,
+        link_failure_prob: 0.02,
+    };
+    let faulty = |k, n| {
+        SimConfig::ncube(k, n, 2, 16, 1e-4, 0.2, 1)
+            .with_topology(LinkKind::Bidirectional, Boundary::Torus)
+            .with_faults(spec)
+    };
+    assert!(matches!(
+        Simulator::new(faulty(8, 5)),
+        Err(SimConfigError::Invalid(_))
+    ));
+    assert!(faulty(16, 3).validate().is_ok());
 }

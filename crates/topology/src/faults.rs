@@ -33,6 +33,12 @@ use crate::routing::{Hop, VcClass};
 /// Distance marker for unreachable (or failed) node pairs.
 const UNREACHABLE: u16 = u16::MAX;
 
+/// Largest network, in nodes, a [`FaultRouter`] serves: its `N × N`
+/// `u16` distance table is 32 MiB here, and would be 2 GiB at `(32, 3)`.
+/// The faulty model and the simulator's fault injection reject larger
+/// networks before building one.
+pub const MAX_FAULT_ROUTER_NODES: u32 = 1 << 12;
+
 /// A set of failed routers and physical links in a topology.
 #[derive(Clone, Debug)]
 pub struct FaultSet {
@@ -333,6 +339,31 @@ impl FaultRouter {
         Some(hops)
     }
 
+    /// Fill `order` with every node that has a surviving route to `dest`
+    /// (`dest` excluded), nearest first, ties by node index: the in-tree
+    /// the deterministic routes into `dest` form, each node listed after
+    /// its [`FaultRouter::next_hop`].  A counting sort of the distances.
+    pub fn tree(&self, dest: NodeId, order: &mut Vec<NodeId>) {
+        let nodes = self.topo.num_nodes() as usize;
+        let table = &self.dist[dest.index() * nodes..(dest.index() + 1) * nodes];
+        let in_tree = |d: u16| d != 0 && d != UNREACHABLE;
+        // Per-distance counts, turned into each distance's next free slot.
+        let mut slot = vec![0usize; nodes];
+        for &d in table.iter().filter(|&&d| in_tree(d)) {
+            slot[d as usize] += 1;
+        }
+        let mut total = 0;
+        for s in &mut slot {
+            (*s, total) = (total, total + *s);
+        }
+        order.clear();
+        order.resize(total, dest);
+        for (node, &d) in table.iter().enumerate().filter(|&(_, &d)| in_tree(d)) {
+            order[slot[d as usize]] = NodeId(node as u32);
+            slot[d as usize] += 1;
+        }
+    }
+
     /// Number of ordered pairs `(src, dest)` with `src != dest` that can
     /// still communicate.
     pub fn reachable_pairs(&self) -> u64 {
@@ -399,39 +430,25 @@ impl FaultRouter {
     pub fn deadlock_free(&self) -> bool {
         // Vertex per (channel, class): index = channel · 2 + class.
         let nv = self.topo.num_channels() as usize * 2;
-        let vertex = |hop: &Hop| {
-            let class = match hop.vc_class {
-                VcClass::High => 0,
-                VcClass::Low => 1,
-            };
-            hop.channel.id(&self.topo).index() * 2 + class
-        };
         // Out-lists stay short (a channel feeds only the outgoing channels
         // of its head node, in two classes), so deduplicating by scan is
         // cheap and needs no dense nv × nv matrix.
         let mut out: Vec<Vec<u32>> = vec![Vec::new(); nv];
-        for src in self.topo.nodes() {
-            if self.faults.node_failed(src) {
-                continue;
-            }
-            for dest in self.topo.nodes() {
-                if src == dest || self.dist_raw(src, dest) == UNREACHABLE {
-                    continue;
-                }
-                let mut cur = src;
-                let mut prev: Option<usize> = None;
-                while cur != dest {
-                    let hop = self
-                        .next_hop(cur, dest)
-                        .expect("finite distance implies a next hop");
-                    let v = vertex(&hop);
-                    if let Some(u) = prev {
-                        if !out[u].contains(&(v as u32)) {
-                            out[u].push(v as u32);
-                        }
-                    }
-                    prev = Some(v);
-                    cur = hop.channel.to(&self.topo);
+        // Routes are paths in their destination's in-tree: the edges are
+        // (hop(cur), hop(next)) over tree nodes not next to `dest`.
+        let mut order = Vec::new();
+        let mut vertex = vec![0u32; self.topo.num_nodes() as usize];
+        for dest in self.topo.nodes() {
+            self.tree(dest, &mut order);
+            for &cur in &order {
+                let hop = self
+                    .next_hop(cur, dest)
+                    .expect("tree nodes have a next hop");
+                let v = hop.channel.id(&self.topo).index() * 2 + hop.vc_class as usize;
+                vertex[cur.index()] = v as u32;
+                let next = hop.channel.to(&self.topo);
+                if next != dest && !out[v].contains(&vertex[next.index()]) {
+                    out[v].push(vertex[next.index()]);
                 }
             }
         }

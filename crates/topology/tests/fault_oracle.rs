@@ -12,14 +12,18 @@
 //!   digraph) and **minimal** (length equals the oracle's BFS distance),
 //! * `reachable_pairs` / `reachable_fraction` / `expected_detour` /
 //!   `max_finite_distance` match oracle recomputation, with the fault-free
-//!   minimal distances themselves re-derived by a second oracle BFS.
+//!   minimal distances themselves re-derived by a second oracle BFS,
+//! * `tree(dest)` lists exactly the nodes with a finite oracle distance to
+//!   `dest`, nearest first and ties by node index,
+//! * `deadlock_free()` gives the verdict of a channel-dependency graph
+//!   built here from the consecutive hops of every walked `route()`.
 //!
 //! The only production code the oracle consumes is the `(k, n, link-kind,
 //! boundary)` tuple and the fault *events* (which routers / which physical
 //! links died) — everything downstream of those is computed twice.
 
 use kncube_topology::{
-    Boundary, Channel, Direction, FaultRouter, FaultSet, KAryNCube, LinkKind, NodeId,
+    Boundary, Channel, Direction, FaultRouter, FaultSet, Hop, KAryNCube, LinkKind, NodeId, VcClass,
 };
 use std::collections::HashSet;
 use std::collections::VecDeque;
@@ -206,6 +210,30 @@ fn sampled_topologies() -> Vec<KAryNCube> {
     topologies
 }
 
+/// Dally's criterion rebuilt from walked routes: the dependency graph
+/// over `(channel, class)` vertices, one edge per consecutive hop pair of
+/// any route, is acyclic.
+fn walked_cdg_acyclic(topo: &KAryNCube, router: &FaultRouter) -> bool {
+    let vertex = |hop: &Hop| (hop.channel.id(topo).0, hop.vc_class == VcClass::Low);
+    let mut edges = HashSet::new();
+    for src in topo.nodes() {
+        for dest in topo.nodes() {
+            for pair in router.route(src, dest).unwrap_or_default().windows(2) {
+                edges.insert((vertex(&pair[0]), vertex(&pair[1])));
+            }
+        }
+    }
+    // Peel edges leaving vertices nothing points to; a cycle never peels.
+    loop {
+        let targets: HashSet<_> = edges.iter().map(|&(_, to)| to).collect();
+        let before = edges.len();
+        edges.retain(|(from, _)| targets.contains(from));
+        if edges.len() == before {
+            return edges.is_empty();
+        }
+    }
+}
+
 /// The full property check of one `(topology, fault set)` instance.
 fn check_against_oracle(topo: KAryNCube, faults: FaultSet, oracle: &OracleGraph, ctx: &str) {
     let router = FaultRouter::new(faults);
@@ -292,6 +320,24 @@ fn check_against_oracle(topo: KAryNCube, faults: FaultSet, oracle: &OracleGraph,
         router.max_finite_distance(),
         max_finite,
         "{ctx}: max_finite_distance"
+    );
+
+    let mut order = Vec::new();
+    for dest in topo.nodes() {
+        router.tree(dest, &mut order);
+        let mut expected: Vec<(u32, NodeId)> = topo
+            .nodes()
+            .filter(|&s| s != dest)
+            .filter_map(|s| dist[s.index()][dest.index()].map(|d| (d, s)))
+            .collect();
+        expected.sort_by_key(|&(d, s)| (d, s.0));
+        let expected: Vec<NodeId> = expected.into_iter().map(|(_, s)| s).collect();
+        assert_eq!(order, expected, "{ctx}: tree({:?})", topo.coords(dest));
+    }
+    assert_eq!(
+        router.deadlock_free(),
+        walked_cdg_acyclic(&topo, &router),
+        "{ctx}: deadlock_free"
     );
 }
 
