@@ -3,7 +3,7 @@
 //! primitives it is built from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kncube_core::{HotSpotModel, ModelConfig, UniformModel};
+use kncube_core::{NCubeConfig, NCubeModel, UniformModel};
 use kncube_queueing::blocking::{blocking_delay, TrafficClass};
 use kncube_queueing::vc_multiplex::multiplexing_factor;
 use std::hint::black_box;
@@ -15,10 +15,10 @@ fn bench_model_solve(c: &mut Criterion) {
         // A moderate operating point: 40% of the k=16 figure-1 load scaled
         // by k so every radix is comfortably below saturation.
         let lambda = 2e-4 * (16.0 / k as f64);
-        let cfg = ModelConfig::paper_validation(k, 2, 32, lambda, 0.2);
+        let cfg = NCubeConfig::new(k, 2, 2, 32, lambda, 0.2);
         group.bench_with_input(BenchmarkId::new("hotspot_k", k), &cfg, |b, cfg| {
             b.iter(|| {
-                HotSpotModel::new(black_box(*cfg))
+                NCubeModel::new(black_box(*cfg))
                     .unwrap()
                     .solve()
                     .unwrap()
@@ -27,13 +27,13 @@ fn bench_model_solve(c: &mut Criterion) {
         });
     }
     for lambda in [1e-4, 3e-4, 5e-4] {
-        let cfg = ModelConfig::paper_validation(16, 2, 32, lambda, 0.2);
+        let cfg = NCubeConfig::new(16, 2, 2, 32, lambda, 0.2);
         group.bench_with_input(
             BenchmarkId::new("hotspot_load", format!("{lambda:.0e}")),
             &cfg,
             |b, cfg| {
                 b.iter(|| {
-                    HotSpotModel::new(black_box(*cfg))
+                    NCubeModel::new(black_box(*cfg))
                         .unwrap()
                         .solve()
                         .unwrap()

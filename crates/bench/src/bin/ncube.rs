@@ -3,8 +3,7 @@
 //! ([`kncube_core::NCubeModel`]) against the flit-level simulator over
 //! `(k, n) ∈ {(4,3), (8,3), (4,4), (16,2)}` under hot-spot traffic: three
 //! genuinely 3-/4-dimensional cubes plus the paper's own 256-node torus as
-//! the `n = 2` anchor (where the generalized model is bit-identical to the
-//! 2-D solver).
+//! the `n = 2` anchor.
 //!
 //! ```sh
 //! cargo run --release -p kncube-bench --bin ncube [-- --quick]

@@ -172,9 +172,10 @@ fn parse_query(q: &Json, i: usize) -> Result<Query, String> {
         Some("pareto") => {
             let lambda = req_num(q, i, "lambda")?;
             let min_nodes = req_num(q, i, "min_nodes")?;
-            if !(min_nodes >= 1.0 && min_nodes.fract() == 0.0) {
+            // `u64::MAX as f64` rounds up to 2^64, so the bound is strict.
+            if !(min_nodes >= 1.0 && min_nodes.fract() == 0.0 && min_nodes < u64::MAX as f64) {
                 return Err(format!(
-                    "queries[{i}]: min_nodes must be a positive integer"
+                    "queries[{i}]: min_nodes must be a positive integer below 2^64"
                 ));
             }
             let candidates = match q.get("candidates") {
@@ -297,6 +298,12 @@ fn run_unit(unit: &Unit, cache: &SolveCache) -> Vec<(usize, Json)> {
                 candidates,
             },
         ) => {
+            // The fields every candidate shares (V, Lm, h, λ) go through
+            // the model's own checks once, on the prototype's valid k/n
+            // placeholders: if they fail, every candidate would.
+            if let Err(e) = NCubeModel::new(*proto) {
+                return vec![(*idx, model_error_json("pareto", &e))];
+            }
             let mut best: Option<(u32, u32, u64, f64)> = None;
             for &(k, n) in candidates {
                 let nodes = (k as u64).saturating_pow(n);
@@ -892,6 +899,155 @@ mod tests {
                 error.starts_with("bad model configuration") && error.contains(needle),
                 "{fields}: '{error}' should carry the model error '{needle}'"
             );
+        }
+    }
+
+    #[test]
+    fn pareto_queries_on_invalid_shared_fields_fail_with_the_model_error() {
+        // Every candidate shares these fields, so a bad one is the model's
+        // reason for the whole query, not "no candidate solves".
+        for (fields, needle) in [
+            (
+                r#""v": 2, "lm": 32, "h": 0.2, "lambda": -1"#,
+                "λ must be finite",
+            ),
+            (
+                r#""v": 2, "lm": 32, "h": 1.5, "lambda": 1e-5"#,
+                "h must be in [0, 1]",
+            ),
+            (
+                r#""v": 0, "lm": 32, "h": 0.2, "lambda": 1e-5"#,
+                "virtual channel",
+            ),
+            (
+                r#""v": 2, "lm": 0, "h": 0.2, "lambda": 1e-5"#,
+                "message length",
+            ),
+        ] {
+            let input = batch(&format!(
+                r#"{{"queries": [{{"type": "pareto", {fields}, "min_nodes": 4}}]}}"#
+            ));
+            let output = run_batch(&input).unwrap();
+            let r = &output.get("results").unwrap().as_arr().unwrap()[0];
+            assert_eq!(r.get("type").and_then(Json::as_str), Some("pareto"));
+            assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{fields}: {r:?}");
+            let error = r.get("error").and_then(Json::as_str).unwrap();
+            assert!(
+                error.starts_with("bad model configuration") && error.contains(needle),
+                "{fields}: '{error}' should carry the model error '{needle}'"
+            );
+        }
+    }
+
+    #[test]
+    fn pareto_min_nodes_beyond_u64_is_rejected_at_parse_time() {
+        for min_nodes in ["1e300", "18446744073709551616"] {
+            let text = format!(
+                r#"{{"queries": [{{"type": "pareto", "v": 2, "lm": 32, "h": 0.2,
+                   "lambda": 1e-5, "min_nodes": {min_nodes}}}]}}"#
+            );
+            let err = run_batch(&batch(&text)).unwrap_err();
+            assert!(
+                err.contains("queries[0]") && err.contains("min_nodes"),
+                "{min_nodes}: '{err}'"
+            );
+        }
+        // The largest admissible value still parses (and no cube is that
+        // big, so the query fails soft).
+        let text = r#"{"queries": [{"type": "pareto", "v": 2, "lm": 32, "h": 0.2,
+            "lambda": 1e-5, "min_nodes": 18446744073709549568}]}"#;
+        let output = run_batch(&batch(text)).unwrap();
+        let r = &output.get("results").unwrap().as_arr().unwrap()[0];
+        assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
+    }
+
+    /// One query of `kind` (0 latency, 1 saturation, 2 pareto) with the
+    /// invalid input `bad` mixed in (`None`: a valid query): 0 a negative
+    /// λ, 1 λ = 1e999 (∞), 2 h = 1e999, 3 h outside [0, 1], 4
+    /// k = n = u32::MAX, 5 k^n above the model's node limit.  Saturation
+    /// queries carry no λ, so their λ cases move to h.
+    fn front_end_query(
+        kind: usize,
+        bad: Option<usize>,
+        (k, n, h, lambda): (u32, u32, f64, f64),
+    ) -> String {
+        let bad = match (kind, bad) {
+            (1, Some(b @ 0..=1)) => Some(b + 2),
+            (_, b) => b,
+        };
+        let (mut k, mut n, mut h, mut lambda) = (
+            k.to_string(),
+            n.to_string(),
+            h.to_string(),
+            lambda.to_string(),
+        );
+        match bad {
+            Some(0) => lambda.insert(0, '-'),
+            Some(1) => lambda = "1e999".into(),
+            Some(2) => h = "1e999".into(),
+            // Below 0 for odd radices, above 1 for even ones.
+            Some(3) => {
+                h = if k.ends_with(['1', '3', '5']) {
+                    "-0.25"
+                } else {
+                    "1.5"
+                }
+                .into()
+            }
+            Some(4) => (k, n) = (u32::MAX.to_string(), u32::MAX.to_string()),
+            // The smallest square cube past the model's node limit.
+            Some(5) => {
+                let side = (kncube_core::ncube::MAX_MODEL_NODES as f64).sqrt() as u64 + 1;
+                (k, n) = (side.to_string(), "2".into());
+            }
+            _ => {}
+        }
+        let shared = format!(r#""v": 2, "lm": 16, "h": {h}"#);
+        match kind {
+            0 => format!(
+                r#"{{"type": "latency", "k": {k}, "n": {n}, {shared}, "lambda": {lambda}}}"#
+            ),
+            1 => format!(r#"{{"type": "saturation", "k": {k}, "n": {n}, {shared}}}"#),
+            _ => format!(
+                r#"{{"type": "pareto", {shared}, "lambda": {lambda}, "min_nodes": 1,
+                    "candidates": [[{k}, {n}]]}}"#
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Random batches mixing valid queries with NaN-free invalid
+        /// inputs: every invalid query answers its own `ok: false` with an
+        /// error string, the batch itself succeeds, and the output
+        /// serialises.
+        #[test]
+        fn invalid_inputs_fail_per_query_never_per_batch(
+            queries in proptest::collection::vec(
+                (0usize..3, 0usize..8, (2u32..=6, 1u32..=3, 0.0f64..=0.9, 1e-7f64..1e-5)),
+                1..6usize,
+            ),
+        ) {
+            let text = queries
+                .iter()
+                .map(|&(kind, bad, params)| front_end_query(kind, Some(bad).filter(|&b| b < 6), params))
+                .collect::<Vec<_>>()
+                .join(",\n");
+            let output = run_batch(&batch(&format!(r#"{{"queries": [{text}]}}"#)));
+            proptest::prop_assert!(output.is_ok(), "batch-level error: {output:?}");
+            let output = output.unwrap();
+            let _ = output.pretty();
+            let results = output.get("results").unwrap().as_arr().unwrap();
+            proptest::prop_assert_eq!(results.len(), queries.len());
+            for (r, &(kind, bad, _)) in results.iter().zip(&queries) {
+                let kinds = ["latency", "saturation", "pareto"];
+                proptest::prop_assert_eq!(r.get("type").and_then(Json::as_str), Some(kinds[kind]));
+                if bad < 6 {
+                    proptest::prop_assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{:?}", r);
+                    proptest::prop_assert!(r.get("error").and_then(Json::as_str).is_some());
+                }
+            }
         }
     }
 

@@ -28,8 +28,10 @@
 //! The cache is shared across threads (`&SolveCache` is `Sync`); the map
 //! lock is held only for lookups and inserts, never across a solve.
 
-use crate::ncube::{NCubeConfig, NCubeModel, NCubeOutput};
-use crate::solver::ModelError;
+use crate::ncube::{
+    ModelError, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, NCubeOutput,
+    ServiceTimeModel,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -61,9 +63,9 @@ pub struct CacheKey {
     lm: u32,
     lambda_bits: u64,
     h_bits: u64,
-    variant: crate::solver::ModelVariant,
-    service: crate::solver::ServiceTimeModel,
-    multiplexing: crate::solver::MultiplexingModel,
+    variant: ModelVariant,
+    service: ServiceTimeModel,
+    multiplexing: MultiplexingModel,
     max_iterations: usize,
     tolerance_bits: u64,
     damping_bits: u64,
@@ -190,7 +192,6 @@ impl SolveCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::ServiceTimeModel;
 
     #[test]
     fn hit_returns_the_exact_solution_of_the_quantized_config() {

@@ -41,9 +41,8 @@
 //! its output bit-for-bit; [`FaultyNCubeModel::solve_general`] forces the
 //! per-channel path for cross-validation.
 
-use crate::ncube::{NCubeConfig, NCubeModel};
+use crate::ncube::{ModelError, MultiplexingModel, NCubeConfig, NCubeModel, RHO_CAP};
 use crate::rates::FaultyChannelRates;
-use crate::solver::{ModelError, MultiplexingModel, RHO_CAP};
 use crate::sweep::{LatencyModel, SaturationError, SaturationReport, Solved};
 use kncube_queueing::blocking::{channel_metrics, TrafficClass};
 use kncube_queueing::mg1;

@@ -52,7 +52,7 @@
 //! Because the `Lm + 1` service time is load-independent, everything
 //! evaluates in closed form — no fixed-point iteration is needed.
 
-use crate::solver::ModelError;
+use crate::ncube::ModelError;
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;

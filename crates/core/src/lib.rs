@@ -8,25 +8,23 @@
 //! messages, Poisson sources of rate `λ` messages/node/cycle, and the
 //! Pfister–Norton hot-spot destination model with hot fraction `h`.  This
 //! crate carries the model at full generality — radix *and* dimension as
-//! parameters — with the paper's 2-D solver as a thin specialization:
+//! parameters:
 //!
-//! * [`NCubeModel`] — the generalized solver for any `(k, n)`;
-//! * [`HotSpotModel`] — the paper's 2-D API, numerically identical to
-//!   [`NCubeModel`] at `n = 2`;
+//! * [`NCubeModel`] — the solver for any `(k, n)`; the paper's torus is
+//!   `n = 2`;
 //! * [`HypercubeModel`] — the closed-form binary-hypercube model
 //!   (reference \[12\]), which [`NCubeModel`] reproduces at `k = 2`.
 //!
 //! # Quick start
 //!
 //! ```
-//! use kncube_core::{HotSpotModel, ModelConfig, NCubeConfig, NCubeModel};
+//! use kncube_core::{NCubeConfig, NCubeModel};
 //!
-//! // The paper's 16-ary 2-cube…
-//! let config = ModelConfig::paper_validation(16, 2, 32, 1e-4, 0.2);
-//! let out = HotSpotModel::new(config).unwrap().solve().unwrap();
-//! assert!(out.latency > 32.0); // at least the message length
+//! // The paper's 16-ary 2-cube (k, n, V, Lm, λ, h)…
+//! let torus = NCubeModel::new(NCubeConfig::new(16, 2, 2, 32, 1e-4, 0.2)).unwrap();
+//! assert!(torus.solve().unwrap().latency > 32.0); // at least the message length
 //!
-//! // …and an 8-ary 3-cube through the generalized entry point.
+//! // …and an 8-ary 3-cube.
 //! let cube = NCubeModel::new(NCubeConfig::new(8, 3, 2, 32, 1e-5, 0.2)).unwrap();
 //! assert!(cube.solve().unwrap().latency > 32.0);
 //! ```
@@ -37,10 +35,8 @@
 //!   n-dimensional generalization;
 //! * [`probabilities`] — route-case probabilities behind Eqs. (11)–(15),
 //!   (22), (24) and (31)–(32), plus the generalized entry families;
-//! * [`ncube`] — the generalized fixed-point solver and latency
-//!   composition;
-//! * [`solver`] — the paper's 2-D API (Eqs. 10–37) over the generalized
-//!   solver;
+//! * [`ncube`] — the model's configuration and error types and the
+//!   fixed-point solver and latency composition (Eqs. 10–37);
 //! * [`hypercube`] — the binary-hypercube comparison model (closed form);
 //! * [`uniform`] — an independently-derived uniform-traffic baseline (the
 //!   `h → 0` sanity anchor);
@@ -62,20 +58,20 @@ pub mod hypercube;
 pub mod ncube;
 pub mod probabilities;
 pub mod rates;
-pub mod solver;
+#[cfg(test)]
+mod solver;
 pub mod sweep;
 pub mod uniform;
 
 pub use cache::SolveCache;
 pub use faulty::{FaultyNCubeConfig, FaultyNCubeModel, FaultyNCubeOutput};
 pub use hypercube::{HypercubeModel, HypercubeOutput};
-pub use ncube::{NCubeConfig, NCubeModel, NCubeOutput};
-pub use probabilities::{entry_cases, EntryCase, RegularRouteProbs};
-pub use rates::{FaultyChannelRates, NCubeRates, Rates};
-pub use solver::{
-    HotSpotModel, ModelConfig, ModelError, ModelOutput, ModelVariant, MultiplexingModel,
+pub use ncube::{
+    ModelError, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, NCubeOutput,
     ServiceTimeModel,
 };
+pub use probabilities::{entry_cases, EntryCase};
+pub use rates::{FaultyChannelRates, NCubeRates};
 pub use sweep::{
     find_saturation, find_saturation_ncube_report, latency_curve, solve_continued, CurvePoint,
     LatencyModel, SaturationError, SaturationReport, Solved,

@@ -1,11 +1,14 @@
-//! The hot-spot latency model generalized to arbitrary k-ary n-cubes.
+//! The paper's hot-spot latency model (Eqs. 10–37) for arbitrary k-ary
+//! n-cubes.
 //!
-//! This is the paper's model (Eqs. 10–37) with the dimension count `n`
-//! promoted to a first-class parameter.  The 2-D solver
-//! ([`crate::HotSpotModel`]) is the `n = 2` specialization of this module,
-//! and the binary-hypercube model ([`crate::HypercubeModel`]) is its
-//! closed-form `k = 2` instance — both relationships are enforced by the
-//! cross-validation tests in the facade crate.
+//! The dimension count `n` is a first-class parameter.  The paper's
+//! `k × k` unidirectional torus is the `n = 2` instance
+//! (`NCubeConfig::new(k, 2, v, lm, λ, h)`), pinned by the crate's `solver`
+//! tests against the paper's own five-route-case zero-load derivation and
+//! its Figure 1–2 operating points; the
+//! binary-hypercube model ([`crate::HypercubeModel`]) is its closed-form
+//! `k = 2` instance, enforced by the cross-validation tests in the facade
+//! crate.
 //!
 //! # How the 2-D machinery generalizes
 //!
@@ -18,8 +21,12 @@
 //!   (Eq. 3) is dimension-independent.
 //!
 //! * **Service-time recursions.**  Every per-channel recursion of
-//!   Eqs. (16)–(25) has the affine shape `S_j = 1 + B_j + S_{j-1}`, so the
-//!   seven hard-coded x/y families collapse into per-dimension data: the
+//!   Eqs. (16)–(25) has the affine shape `S_j = 1 + B_j + S_{j-1}` (one
+//!   cycle for the header to cross the channel, the mean blocking delay
+//!   there, then the service of the rest of the path, with terminal
+//!   `S_1 = 1 + B + Lm`), so the paper's seven x/y families
+//!   (`S^r_h̄y,j`, `S^r_hy,j`, `S^r_x,j`, `S^r_x→hy,j`, `S^r_x→h̄y,j`,
+//!   `S^h_y,j`, `S^h_x,j,t`) collapse into per-dimension data: the
 //!   position-averaged regular blocking `B_{d,hot}` / `B_nonhot`, and the
 //!   cumulative hot-path channel costs `C_{d,j} = Σ_{l<=j} (1 + B^h_{d,l})`
 //!   — the network latency of a hot message with per-dimension distance
@@ -36,27 +43,143 @@
 //!   probability `k^{-(d-d0)}` when the entry ring was hot (dimension-wise
 //!   independence of a uniform destination) and never otherwise.
 //!
-//! * **Composition.**  Source-queue waits (Eqs. 31–32) are evaluated per
-//!   source position — one node per distance profile — and the
-//!   multiplexing degrees (Eqs. 33–37) per channel family, exactly as the
-//!   2-D solver does over its `(j)` and `(j, t)` positions.
+//! * **Composition.**  Source-queue waits (Eqs. 31–32, M/G/1 at rate
+//!   `λ/V`) are evaluated per source position — one node per distance
+//!   profile, the paper's `(j)` hot-ring and `(j, t)` x-ring positions at
+//!   `n = 2` — and the multiplexing degrees (Eqs. 33–37) per channel
+//!   family, then combined into
+//!
+//!   ```text
+//!   Latency = (1-h)·S_r + h·S_h                                   (10)
+//!   ```
+//!
+//!   with `S_r` the probability mix over the entry families and `S_h` the
+//!   uniform mix over the `N-1` hot-spot source positions (Eqs. 21–24).
+//!   One notational fix relative to the paper: we apply each case's
+//!   probability to the *whole* bracket `(S + Ws)·V̄` rather than to `S`
+//!   alone, so that the source wait `Ws` is counted exactly once in
+//!   expectation (the paper's Eqs. 12–14 distribute the probability over
+//!   `S` but then add an unweighted `Ws`, which cannot be literal — the
+//!   probabilities would not marginalise).
 //!
 //! Under the default [`ServiceTimeModel::PipelinedTransfer`] the blocking
 //! terms are load-only, so the fixed point converges immediately; the
 //! [`ServiceTimeModel::PathOccupancy`] ablation iterates the
-//! `holds → blocking → chains` loop like the 2-D solver.  (One
-//! approximation relative to the 2-D ablation code path: the hot chains
-//! average their downstream holding time over the tail profiles instead of
-//! keeping one chain per profile; the default model is unaffected.)
+//! `holds → blocking → chains` loop.  (One approximation in that ablation:
+//! the hot chains average their downstream holding time over the tail
+//! profiles instead of keeping one chain per profile; the default model is
+//! unaffected.)
 
 use crate::probabilities::{entry_cases, EntryCase};
 use crate::rates::NCubeRates;
-use crate::solver::{ModelError, ModelVariant, MultiplexingModel, ServiceTimeModel, RHO_CAP};
 use crate::sweep::{LatencyModel, Solved};
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
 use kncube_queueing::fixed_point::{self, FixedPointError, FixedPointOptions};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
+use std::fmt;
+
+/// Utilization cap used to keep intermediate fixed-point iterates finite.
+pub(crate) const RHO_CAP: f64 = 1.0 - 1e-7;
+
+/// Which mean service time competing *regular* messages present at an
+/// x-ring channel in the hot-message recursion, Eq. (25).
+///
+/// The OCR of the paper prints `S^r_{hy,k}` (the hot-y-ring entrance
+/// service) inside Eq. (25)'s blocking term, while the structurally
+/// analogous regular-message recursions (Eqs. 18–20) use the x-channel
+/// entrance service `S^r_{x,k}`.  The default follows physical consistency
+/// (`XRingService`); the alternative reproduces the OCR reading, and the
+/// `ablations` bench quantifies the (small) difference.  Beyond `n = 2`
+/// "x" reads as "the message's current dimension" and "hot ring" as "the
+/// hot ring of the last dimension".
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum ModelVariant {
+    /// Use `S^r_{x,k}` in Eq. (25)'s blocking term (default).
+    #[default]
+    XRingService,
+    /// Use `S^r_{hy,k}` in Eq. (25)'s blocking term (literal OCR).
+    HotRingServiceEq25,
+}
+
+/// What a message "costs" a channel while crossing it — the service time
+/// competing messages present inside the blocking operator, and the
+/// occupancy that drives utilization and virtual-channel multiplexing.
+///
+/// The OCR of Eqs. (17), (23) and (25) names the remaining-path service
+/// times (`S^h_{y,j}` etc.) here, but that reading cannot be what the
+/// authors computed: remaining-path services contain the downstream
+/// blocking delays, so channel `j+1`'s load would inherit channel `j`'s
+/// near-saturation waits and the model would diverge at roughly a third of
+/// the load range plotted in Figures 1–2 (tree saturation is over-counted
+/// because the distributed VC queue actually spreads that backlog over
+/// many channels).  With the *pipelined transfer time* `Lm + 1` — exact
+/// for the binding channel, the last hop into the hot node, whose
+/// downstream is the ejection sink — the model's saturation points land
+/// precisely on the axis ranges of all six subfigures
+/// (`λ* ≈ 1/(h·k(k-1)·(Lm+1) + λ_r-share)`).  See DESIGN.md §
+/// "Reconstruction notes".
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum ServiceTimeModel {
+    /// Competitor service/occupancy = `Lm + 1` cycles (default; matches
+    /// the paper's figures).
+    #[default]
+    PipelinedTransfer,
+    /// Competitor service/occupancy = `1 + S_{j-1}` (header plus the full
+    /// remaining-path service).  Over-counts tree saturation; kept as an
+    /// ablation (`ABL-HOLD` in DESIGN.md).
+    PathOccupancy,
+}
+
+/// How the virtual-channel multiplexing degree `V̄` is computed.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum MultiplexingModel {
+    /// Dally's Markov chain, Eqs. (33)–(35) — the published model.  It
+    /// assumes a message can occupy any of the `V` virtual channels, which
+    /// over-states multiplexing under Dally–Seitz class restrictions
+    /// (hot-spot messages in the hot ring share a single class).
+    #[default]
+    DallyMarkov,
+    /// Class-aware stretch: a flit stream is slowed by the occupancy of
+    /// the *other* virtual channels of its physical channel, so
+    /// `V̄ = 1 + min(ρ, V-1)`.  Matches the simulator's measured
+    /// multiplexing more closely (ablation `ABL-VMUX`).
+    ClassAware,
+}
+
+/// Why the model has no solution at this operating point.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ModelError {
+    /// Invalid configuration.
+    BadConfig(String),
+    /// A channel or source queue is saturated (`ρ >= 1`): the network has
+    /// no steady state at this load and the model diverges — this is how
+    /// the saturation point manifests analytically.
+    Saturated {
+        /// The largest utilization encountered.
+        max_utilization: f64,
+    },
+    /// The iteration failed to converge without an explicit `ρ >= 1`
+    /// witness; treated as (just past) saturation in sweeps.
+    NotConverged,
+}
+
+impl fmt::Display for ModelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ModelError::BadConfig(msg) => write!(f, "bad model configuration: {msg}"),
+            ModelError::Saturated { max_utilization } => {
+                write!(
+                    f,
+                    "network saturated (max utilization {max_utilization:.4})"
+                )
+            }
+            ModelError::NotConverged => write!(f, "model iteration did not converge"),
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
 
 /// Largest supported node count: the latency composition enumerates one
 /// source-queue wait per node (Eq. 32 is a per-source quantity), so the
@@ -249,9 +372,8 @@ impl NCubeModel {
     /// plus the service of the remaining path), excluding its own
     /// acquisition wait.  Averaged over the entry positions `j = 1..k-1`
     /// of an affine chain `S_j = j(1+B) + Lm` this is
-    /// `1 + Lm + (1+B)(k-2)/2` — the closed form of the 2-D solver's
-    /// family average.  Under the default pipelined-transfer reading the
-    /// holding time is the load-independent `Lm + 1` (see
+    /// `1 + Lm + (1+B)(k-2)/2`.  Under the default pipelined-transfer
+    /// reading the holding time is the load-independent `Lm + 1` (see
     /// [`ServiceTimeModel`]).
     fn hold_regular(&self, blocking: f64) -> f64 {
         let lm = self.config.message_length as f64;

@@ -1,10 +1,10 @@
 //! Route-case probabilities for regular messages (Eqs. 11–15 and 31),
-//! plus their generalization to arbitrary dimension counts.
+//! generalized to arbitrary dimension counts.
 //!
 //! A regular message picks a uniformly-random destination among the other
-//! `N - 1 = k² - 1` nodes.  Under x-then-y dimension-order routing it falls
-//! into exactly one of five cases, whose probabilities (averaged over
-//! sources, exact `N-1` denominators) are:
+//! `N - 1` nodes.  On the paper's `k × k` torus under x-then-y
+//! dimension-order routing it falls into exactly one of five cases, whose
+//! probabilities (averaged over sources, exact `N-1` denominators) are:
 //!
 //! | case | destination constraint | probability |
 //! |------|-------------------------|-------------|
@@ -14,54 +14,11 @@
 //! | x then hot y-ring | `dx ≠ 0`, `dy ≠ 0`, dest in hot column | `(k-1)/(k(k+1))` |
 //! | x then non-hot y-ring | `dx ≠ 0`, `dy ≠ 0`, dest elsewhere | `(k-1)²/(k(k+1))` |
 //!
-//! The five probabilities sum to one; the x-entering cases sum to
-//! `k/(k+1)`.  Each is verified against brute-force enumeration of all
-//! `(src, dest)` pairs in the tests.
-
-/// The five route-case probabilities for regular messages.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RegularRouteProbs {
-    /// P(message moves only in `y`, inside the hot y-ring).
-    pub y_only_hot_ring: f64,
-    /// P(message moves only in `y`, inside a non-hot y-ring).
-    pub y_only_nonhot_ring: f64,
-    /// P(message moves only in `x`).
-    pub x_only: f64,
-    /// P(message moves in `x` then down the hot y-ring).
-    pub x_then_hot_ring: f64,
-    /// P(message moves in `x` then down a non-hot y-ring).
-    pub x_then_nonhot_ring: f64,
-}
-
-impl RegularRouteProbs {
-    /// Probabilities for radix `k`.
-    pub fn new(k: u32) -> Self {
-        assert!(k >= 2);
-        let kf = k as f64;
-        RegularRouteProbs {
-            y_only_hot_ring: 1.0 / (kf * (kf + 1.0)),
-            y_only_nonhot_ring: (kf - 1.0) / (kf * (kf + 1.0)),
-            x_only: 1.0 / (kf + 1.0),
-            x_then_hot_ring: (kf - 1.0) / (kf * (kf + 1.0)),
-            x_then_nonhot_ring: (kf - 1.0) * (kf - 1.0) / (kf * (kf + 1.0)),
-        }
-    }
-
-    /// Probability of entering the network through dimension `x`
-    /// (the factor in Eq. 14): `k/(k+1)`.
-    pub fn enters_via_x(&self) -> f64 {
-        self.x_only + self.x_then_hot_ring + self.x_then_nonhot_ring
-    }
-
-    /// Sum of all five cases (must be 1).
-    pub fn total(&self) -> f64 {
-        self.y_only_hot_ring
-            + self.y_only_nonhot_ring
-            + self.x_only
-            + self.x_then_hot_ring
-            + self.x_then_nonhot_ring
-    }
-}
+//! [`entry_cases`] carries the n-dimensional form: the cases grouped by
+//! the dimension and ring a message enters through.  The five closed forms
+//! and the 3-D families are each verified against brute-force enumeration
+//! of all `(src, dest)` pairs in the tests, and the 2-D families against
+//! the five closed forms.
 
 /// One entry family of the generalized route-case decomposition: the first
 /// dimension a regular message moves in, and whether the ring it enters
@@ -83,9 +40,9 @@ impl RegularRouteProbs {
 /// source's, leaves `k-1` choices in `d` and `k` in each higher dimension;
 /// the entry ring is hot iff the source — and hence destination — matches
 /// the hot node on every dimension below `d`, which no dimension-0 ring
-/// can fail).  At `n = 2` the families aggregate the five cases of
-/// [`RegularRouteProbs`]: `(0, hot)` is the three x-entering cases,
-/// `(1, hot)`/`(1, nonhot)` are the y-only cases.
+/// can fail).  At `n = 2` the families aggregate the paper's five cases:
+/// `(0, hot)` is the three x-entering cases, `(1, hot)`/`(1, nonhot)` are
+/// the y-only cases.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EntryCase {
     /// The first dimension the message moves in.
@@ -125,28 +82,46 @@ pub fn entry_cases(k: u32, n: u32) -> Vec<EntryCase> {
     cases
 }
 
+/// The paper's five regular route cases on the `k × k` torus (module
+/// table), in table order: y-only in the hot ring, y-only elsewhere,
+/// x-only, x then the hot y-ring, x then a non-hot y-ring.
+#[cfg(test)]
+pub(crate) fn five_cases(k: u32) -> [f64; 5] {
+    let kf = k as f64;
+    let denom = kf * (kf + 1.0);
+    [
+        1.0 / denom,
+        (kf - 1.0) / denom,
+        1.0 / (kf + 1.0),
+        (kf - 1.0) / denom,
+        (kf - 1.0) * (kf - 1.0) / denom,
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kncube_topology::hotspot::{DIM_X, DIM_Y};
     use kncube_topology::KAryNCube;
+
+    const CASE_NAMES: [&str; 5] = ["y-hot", "y-non", "x-only", "x-hot", "x-non"];
 
     #[test]
     fn probabilities_sum_to_one() {
         for k in 2..=32 {
-            let p = RegularRouteProbs::new(k);
-            assert!((p.total() - 1.0).abs() < 1e-12, "k={k}");
+            let p = five_cases(k);
+            assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12, "k={k}");
             let kf = k as f64;
-            assert!((p.enters_via_x() - kf / (kf + 1.0)).abs() < 1e-12);
+            let enters_via_x = p[2] + p[3] + p[4];
+            assert!((enters_via_x - kf / (kf + 1.0)).abs() < 1e-12);
         }
     }
 
     /// Brute-force oracle: enumerate every (src, dest) pair with dest ≠ src
     /// and classify its dimension-order route relative to a hot column.
-    fn enumerate(k: u32) -> RegularRouteProbs {
+    fn enumerate(k: u32) -> [f64; 5] {
         let t = KAryNCube::unidirectional(k, 2).unwrap();
         let hot = t.node_at(&[1 % k, 2 % k]);
-        let hot_x = t.coord(hot, DIM_X);
+        let hot_x = t.coord(hot, 0);
         let mut counts = [0u64; 5];
         let mut total = 0u64;
         for src in t.nodes() {
@@ -155,11 +130,11 @@ mod tests {
                     continue;
                 }
                 total += 1;
-                let moves_x = t.coord(src, DIM_X) != t.coord(dest, DIM_X);
-                let moves_y = t.coord(src, DIM_Y) != t.coord(dest, DIM_Y);
+                let moves_x = t.coord(src, 0) != t.coord(dest, 0);
+                let moves_y = t.coord(src, 1) != t.coord(dest, 1);
                 let idx = match (moves_x, moves_y) {
                     (false, true) => {
-                        if t.coord(src, DIM_X) == hot_x {
+                        if t.coord(src, 0) == hot_x {
                             0
                         } else {
                             1
@@ -167,7 +142,7 @@ mod tests {
                     }
                     (true, false) => 2,
                     (true, true) => {
-                        if t.coord(dest, DIM_X) == hot_x {
+                        if t.coord(dest, 0) == hot_x {
                             3
                         } else {
                             4
@@ -178,28 +153,15 @@ mod tests {
                 counts[idx] += 1;
             }
         }
-        let f = |i: usize| counts[i] as f64 / total as f64;
-        RegularRouteProbs {
-            y_only_hot_ring: f(0),
-            y_only_nonhot_ring: f(1),
-            x_only: f(2),
-            x_then_hot_ring: f(3),
-            x_then_nonhot_ring: f(4),
-        }
+        counts.map(|c| c as f64 / total as f64)
     }
 
     #[test]
     fn closed_forms_match_bruteforce() {
         for k in [2u32, 3, 4, 5, 8] {
             let exact = enumerate(k);
-            let model = RegularRouteProbs::new(k);
-            for (a, b, name) in [
-                (exact.y_only_hot_ring, model.y_only_hot_ring, "y-hot"),
-                (exact.y_only_nonhot_ring, model.y_only_nonhot_ring, "y-non"),
-                (exact.x_only, model.x_only, "x-only"),
-                (exact.x_then_hot_ring, model.x_then_hot_ring, "x-hot"),
-                (exact.x_then_nonhot_ring, model.x_then_nonhot_ring, "x-non"),
-            ] {
+            let model = five_cases(k);
+            for ((a, b), name) in exact.iter().zip(&model).zip(CASE_NAMES) {
                 assert!(
                     (a - b).abs() < 1e-12,
                     "k={k} case {name}: enumerated {a} vs closed form {b}"
@@ -211,7 +173,7 @@ mod tests {
     #[test]
     fn entry_cases_aggregate_the_five_2d_cases() {
         for k in [2u32, 3, 4, 8, 16] {
-            let five = RegularRouteProbs::new(k);
+            let [y_hot, y_non, x_only, x_hot, x_non] = five_cases(k);
             let cases = entry_cases(k, 2);
             let find = |dim: u32, hot: bool| {
                 cases
@@ -220,9 +182,12 @@ mod tests {
                     .map(|c| c.probability)
                     .unwrap_or(0.0)
             };
-            assert!((find(0, true) - five.enters_via_x()).abs() < 1e-12, "k={k}");
-            assert!((find(1, true) - five.y_only_hot_ring).abs() < 1e-12);
-            assert!((find(1, false) - five.y_only_nonhot_ring).abs() < 1e-12);
+            assert!(
+                (find(0, true) - (x_only + x_hot + x_non)).abs() < 1e-12,
+                "k={k}"
+            );
+            assert!((find(1, true) - y_hot).abs() < 1e-12);
+            assert!((find(1, false) - y_non).abs() < 1e-12);
             let total: f64 = cases.iter().map(|c| c.probability).sum();
             assert!((total - 1.0).abs() < 1e-12);
         }
@@ -269,10 +234,10 @@ mod tests {
         // For k >= 3 the dominant case is x-then-non-hot-y (two random
         // coordinates both differ, non-hot column); the rarest is
         // y-only within the single hot ring.
-        let p = RegularRouteProbs::new(16);
-        assert!(p.x_then_nonhot_ring > p.x_only);
-        assert!(p.x_only > p.x_then_hot_ring);
-        assert!(p.x_then_hot_ring > p.y_only_hot_ring);
-        assert!((p.x_then_hot_ring - p.y_only_nonhot_ring).abs() < 1e-15);
+        let [y_hot, y_non, x_only, x_hot, x_non] = five_cases(16);
+        assert!(x_non > x_only);
+        assert!(x_only > x_hot);
+        assert!(x_hot > y_hot);
+        assert!((x_hot - y_non).abs() < 1e-15);
     }
 }

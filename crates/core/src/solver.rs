@@ -1,370 +1,59 @@
-//! The paper's 2-D hot-spot latency model (Eqs. 10–37), as the `n = 2`
-//! specialization of the generalized k-ary n-cube solver.
-//!
-//! # Unknowns
-//!
-//! The paper's seven interdependent families of per-channel mean *service
-//! times* (`j` counts the channels left to visit, `1..k-1`; `t` names an
-//! x-ring by its paper-distance from the hot node, `1..=k`):
-//!
-//! | symbol | meaning | equation |
-//! |--------|---------|----------|
-//! | `S^r_h̄y,j` | regular message crossing a non-hot y-ring | (16) |
-//! | `S^r_hy,j` | regular message crossing the hot y-ring | (17) |
-//! | `S^r_x,j` | regular message finishing in dimension x | (18) |
-//! | `S^r_x→hy,j` | regular message, x then the hot y-ring | (19) |
-//! | `S^r_x→h̄y,j` | regular message, x then a non-hot y-ring | (20) |
-//! | `S^h_y,j` | hot-spot message starting in the hot y-ring | (23) |
-//! | `S^h_x,j,t` | hot-spot message starting in x-ring `t` | (25) |
-//!
-//! Every recursion has the shape `S_j = 1 + B(channel) + S_{j-1}` — one
-//! cycle for the header to cross the channel, the mean blocking delay at
-//! that channel, then the service time of the rest of the path — with the
-//! terminal `S_1 = 1 + B + Lm` (`Lm` cycles for the message body to drain
-//! into the destination once the header lands).  Because the chains are
-//! affine given the blocking terms, the whole system reduces to the
-//! per-dimension data the generalized solver ([`crate::ncube`]) iterates:
-//! the position-averaged blocking `B_nonhot`/`B_{d,hot}` and the
-//! cumulative hot-path costs `C_{d,j}`.  [`HotSpotModel`] instantiates
-//! that solver at `n = 2` and re-derives the paper's named families from
-//! its output, so the 2-D API is *numerically identical* to the
-//! generalized model (the cross-validation suite asserts bit equality).
-//!
-//! # Composition
-//!
-//! Once the service times converge, the source-queue waits (Eqs. 31–32,
-//! M/G/1 at rate `λ/V`) and the virtual-channel multiplexing degrees
-//! (Eqs. 33–37) are evaluated on the converged state and combined into
-//!
-//! ```text
-//! Latency = (1-h)·S_r + h·S_h                                   (10)
-//! ```
-//!
-//! with `S_r` the probability mix over the five regular route cases
-//! (Eqs. 11–15) and `S_h` the uniform mix over the `N-1` hot-spot source
-//! positions (Eqs. 21–24).  One notational fix relative to the paper: we
-//! apply each case's probability to the *whole* bracket
-//! `(S + Ws)·V̄` rather than to `S` alone, so that the source wait `Ws` is
-//! counted exactly once in expectation (the paper's Eqs. 12–14 distribute
-//! the probability over `S` but then add an unweighted `Ws`, which cannot
-//! be literal — the probabilities would not marginalise).
+//! Regression tests of the solver at the paper's own operating points:
+//! the `k × k` torus of §4 is [`NCubeModel`] at `n = 2`, checked here
+//! against Figures 1–2 and against the paper's five-case zero-load
+//! derivation, which is independent of [`crate::entry_cases`].
 
-use crate::ncube::{NCubeConfig, NCubeModel};
-use crate::rates::Rates;
-use kncube_queueing::fixed_point::FixedPointOptions;
-use std::fmt;
-
-/// Utilization cap used to keep intermediate fixed-point iterates finite.
-pub(crate) const RHO_CAP: f64 = 1.0 - 1e-7;
-
-/// Which mean service time competing *regular* messages present at an
-/// x-ring channel in the hot-message recursion, Eq. (25).
-///
-/// The OCR of the paper prints `S^r_{hy,k}` (the hot-y-ring entrance
-/// service) inside Eq. (25)'s blocking term, while the structurally
-/// analogous regular-message recursions (Eqs. 18–20) use the x-channel
-/// entrance service `S^r_{x,k}`.  The default follows physical consistency
-/// (`XRingService`); the alternative reproduces the OCR reading, and the
-/// `ablations` bench quantifies the (small) difference.  In the
-/// generalized solver "x" reads as "the message's current dimension" and
-/// "hot ring" as "the hot ring of the last dimension".
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum ModelVariant {
-    /// Use `S^r_{x,k}` in Eq. (25)'s blocking term (default).
-    #[default]
-    XRingService,
-    /// Use `S^r_{hy,k}` in Eq. (25)'s blocking term (literal OCR).
-    HotRingServiceEq25,
-}
-
-/// What a message "costs" a channel while crossing it — the service time
-/// competing messages present inside the blocking operator, and the
-/// occupancy that drives utilization and virtual-channel multiplexing.
-///
-/// The OCR of Eqs. (17), (23) and (25) names the remaining-path service
-/// times (`S^h_{y,j}` etc.) here, but that reading cannot be what the
-/// authors computed: remaining-path services contain the downstream
-/// blocking delays, so channel `j+1`'s load would inherit channel `j`'s
-/// near-saturation waits and the model would diverge at roughly a third of
-/// the load range plotted in Figures 1–2 (tree saturation is over-counted
-/// because the distributed VC queue actually spreads that backlog over
-/// many channels).  With the *pipelined transfer time* `Lm + 1` — exact
-/// for the binding channel, the last hop into the hot node, whose
-/// downstream is the ejection sink — the model's saturation points land
-/// precisely on the axis ranges of all six subfigures
-/// (`λ* ≈ 1/(h·k(k-1)·(Lm+1) + λ_r-share)`).  See DESIGN.md §
-/// "Reconstruction notes".
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum ServiceTimeModel {
-    /// Competitor service/occupancy = `Lm + 1` cycles (default; matches
-    /// the paper's figures).
-    #[default]
-    PipelinedTransfer,
-    /// Competitor service/occupancy = `1 + S_{j-1}` (header plus the full
-    /// remaining-path service).  Over-counts tree saturation; kept as an
-    /// ablation (`ABL-HOLD` in DESIGN.md).
-    PathOccupancy,
-}
-
-/// How the virtual-channel multiplexing degree `V̄` is computed.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum MultiplexingModel {
-    /// Dally's Markov chain, Eqs. (33)–(35) — the published model.  It
-    /// assumes a message can occupy any of the `V` virtual channels, which
-    /// over-states multiplexing under Dally–Seitz class restrictions
-    /// (hot-spot messages in the hot ring share a single class).
-    #[default]
-    DallyMarkov,
-    /// Class-aware stretch: a flit stream is slowed by the occupancy of
-    /// the *other* virtual channels of its physical channel, so
-    /// `V̄ = 1 + min(ρ, V-1)`.  Matches the simulator's measured
-    /// multiplexing more closely (ablation `ABL-VMUX`).
-    ClassAware,
-}
-
-/// Configuration of one 2-D model evaluation.
-#[derive(Clone, Copy, Debug)]
-pub struct ModelConfig {
-    /// Radix `k` of the `k × k` unidirectional torus.
-    pub k: u32,
-    /// Virtual channels per physical channel (`V >= 2` in the paper;
-    /// `V = 1` is accepted for the math but is not deadlock-free in the
-    /// simulated network).
-    pub virtual_channels: u32,
-    /// Message length `Lm` in flits.
-    pub message_length: u32,
-    /// Per-node generation rate `λ` in messages/cycle.
-    pub lambda: f64,
-    /// Hot-spot fraction `h`.
-    pub hot_fraction: f64,
-    /// Eq. (25) blocking-term reading.
-    pub variant: ModelVariant,
-    /// Channel service-time model inside the blocking operator.
-    pub service_model: ServiceTimeModel,
-    /// Virtual-channel multiplexing model (Eqs. 33-35 or class-aware).
-    pub multiplexing: MultiplexingModel,
-    /// Fixed-point iteration controls.
-    pub options: FixedPointOptions,
-}
-
-impl ModelConfig {
-    /// The paper's validation configuration: a `k × k` unidirectional torus
-    /// with `v` virtual channels, `lm`-flit messages, rate `lambda` and hot
-    /// fraction `h` (§4 uses `k = 16`, `lm ∈ {32, 100}`,
-    /// `h ∈ {0.2, 0.4, 0.7}`).
-    pub fn paper_validation(k: u32, v: u32, lm: u32, lambda: f64, h: f64) -> Self {
-        ModelConfig {
-            k,
-            virtual_channels: v,
-            message_length: lm,
-            lambda,
-            hot_fraction: h,
-            variant: ModelVariant::default(),
-            service_model: ServiceTimeModel::default(),
-            multiplexing: MultiplexingModel::default(),
-            options: FixedPointOptions::default(),
-        }
-    }
-
-    /// The same operating point as a generalized n-cube configuration with
-    /// `n = 2`.
-    pub fn as_ncube(&self) -> NCubeConfig {
-        NCubeConfig {
-            k: self.k,
-            n: 2,
-            virtual_channels: self.virtual_channels,
-            message_length: self.message_length,
-            lambda: self.lambda,
-            hot_fraction: self.hot_fraction,
-            variant: self.variant,
-            service_model: self.service_model,
-            multiplexing: self.multiplexing,
-            options: self.options,
-        }
-    }
-}
-
-/// Why the model has no solution at this operating point.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ModelError {
-    /// Invalid configuration.
-    BadConfig(String),
-    /// A channel or source queue is saturated (`ρ >= 1`): the network has
-    /// no steady state at this load and the model diverges — this is how
-    /// the saturation point manifests analytically.
-    Saturated {
-        /// The largest utilization encountered.
-        max_utilization: f64,
-    },
-    /// The iteration failed to converge without an explicit `ρ >= 1`
-    /// witness; treated as (just past) saturation in sweeps.
-    NotConverged,
-}
-
-impl fmt::Display for ModelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModelError::BadConfig(msg) => write!(f, "bad model configuration: {msg}"),
-            ModelError::Saturated { max_utilization } => {
-                write!(
-                    f,
-                    "network saturated (max utilization {max_utilization:.4})"
-                )
-            }
-            ModelError::NotConverged => write!(f, "model iteration did not converge"),
-        }
-    }
-}
-
-impl std::error::Error for ModelError {}
-
-/// The solved model: latency and its decomposition under the paper's 2-D
-/// naming.
-#[derive(Clone, Debug)]
-pub struct ModelOutput {
-    /// Eq. (10): the headline mean message latency in cycles.
-    pub latency: f64,
-    /// `S_r`: mean latency of regular messages (probability-marginalised).
-    pub regular_latency: f64,
-    /// `S_h`: mean latency of hot-spot messages.
-    pub hot_latency: f64,
-    /// Eq. (31): mean network latency a regular message sees at any source.
-    pub mean_network_latency_regular: f64,
-    /// Eq. (32): mean source-queue wait of regular messages.
-    pub source_wait_regular: f64,
-    /// Eq. (36): average multiplexing degree over hot-y-ring channels.
-    pub vbar_hot_ring: f64,
-    /// Multiplexing degree at non-hot y channels.
-    pub vbar_nonhot_ring: f64,
-    /// Eq. (37): average multiplexing degree over x channels.
-    pub vbar_x: f64,
-    /// The largest channel/source utilization at the solution (a solution
-    /// exists only when this is below 1).
-    pub max_utilization: f64,
-    /// Fixed-point iterations used.
-    pub iterations: usize,
-    /// Entrance (j-averaged) service times, useful for diagnostics:
-    /// `[S^r_h̄y,k, S^r_hy,k, S^r_x,k, S^r_x→hy,k, S^r_x→h̄y,k]`.
-    pub entrance_services: [f64; 5],
-    /// Converged `S^h_y,j` for `j = 1..k-1` (index 0 is `j = 1`).
-    pub hot_ring_services: Vec<f64>,
-}
-
-/// The analytical model for one 2-D configuration — a thin specialization
-/// of [`NCubeModel`] at `n = 2`.
-#[derive(Clone, Debug)]
-pub struct HotSpotModel {
-    config: ModelConfig,
-    inner: NCubeModel,
-    rates: Rates,
-}
-
-impl HotSpotModel {
-    /// Validate the configuration and build the model.
-    pub fn new(config: ModelConfig) -> Result<Self, ModelError> {
-        let inner = NCubeModel::new(config.as_ncube())?;
-        let rates = Rates::new(config.k, config.lambda, config.hot_fraction);
-        Ok(HotSpotModel {
-            config,
-            inner,
-            rates,
-        })
-    }
-
-    /// The configuration this model was built from.
-    pub fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
-    /// The traffic rates (Eqs. 1–9).
-    pub fn rates(&self) -> &Rates {
-        &self.rates
-    }
-
-    /// Solve the model.
-    pub fn solve(&self) -> Result<ModelOutput, ModelError> {
-        let out = self.inner.solve()?;
-        // Re-derive the paper's named entrance services from the
-        // generalized per-dimension blocking terms: each family chain is
-        // affine, so its j-average is (k/2)(1+B) plus its tail.
-        let kf = self.config.k as f64;
-        let lm = self.config.message_length as f64;
-        let x_leg = (kf / 2.0) * (1.0 + out.blocking_hot[0]);
-        let sr_nonhot_k = lm + (kf / 2.0) * (1.0 + out.blocking_nonhot);
-        let sr_hot_k = lm + (kf / 2.0) * (1.0 + out.blocking_hot[1]);
-        let sr_x_k = lm + x_leg;
-        let sr_x_hot_k = x_leg + sr_hot_k;
-        let sr_x_nonhot_k = x_leg + sr_nonhot_k;
-        Ok(ModelOutput {
-            latency: out.latency,
-            regular_latency: out.regular_latency,
-            hot_latency: out.hot_latency,
-            mean_network_latency_regular: out.mean_network_latency_regular,
-            source_wait_regular: out.source_wait_regular,
-            vbar_hot_ring: out.vbar_hot[1],
-            vbar_nonhot_ring: out.vbar_nonhot,
-            vbar_x: out.vbar_hot[0],
-            max_utilization: out.max_utilization,
-            iterations: out.iterations,
-            entrance_services: [sr_nonhot_k, sr_hot_k, sr_x_k, sr_x_hot_k, sr_x_nonhot_k],
-            hot_ring_services: out.hot_path_services[1].clone(),
-        })
-    }
-
-    /// Closed-form zero-load latency (λ → 0): no blocking, no queueing,
-    /// no multiplexing; every path costs `hops + Lm` cycles plus one cycle
-    /// per channel for the header.  Used as a test oracle and as the
-    /// y-intercept of the figures.
-    pub fn zero_load_latency(&self) -> f64 {
-        let k = self.config.k as f64;
-        let m = self.config.k - 1;
-        let lm = self.config.message_length as f64;
-        let h = self.config.hot_fraction;
-        let p = crate::probabilities::RegularRouteProbs::new(self.config.k);
-        // Mean over j = 1..k-1 of (j + Lm) is (k/2 + Lm).
-        let one_dim = k / 2.0 + lm;
-        let two_dim = k + lm; // j-average + second-dimension entrance average
-        let s_r = (p.y_only_hot_ring + p.y_only_nonhot_ring + p.x_only) * one_dim
-            + (p.x_then_hot_ring + p.x_then_nonhot_ring) * two_dim;
-        // Hot messages: source (j) in the hot ring costs j + Lm; source
-        // (j, t) costs j + t + Lm for t < k and j + Lm for t = k.
-        let n_minus_1 = k * k - 1.0;
-        let mut s_h = 0.0;
-        for j in 1..=m {
-            s_h += j as f64 + lm;
-        }
-        for j in 1..=m {
-            for t in 1..=self.config.k {
-                let tail = if t == self.config.k { 0.0 } else { t as f64 };
-                s_h += j as f64 + tail + lm;
-            }
-        }
-        s_h /= n_minus_1;
-        (1.0 - h) * s_r + h * s_h
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::probabilities::five_cases;
+    use crate::{ModelError, ModelVariant, NCubeConfig, NCubeModel, NCubeOutput};
+    use proptest::prelude::*;
 
-    fn solve(k: u32, v: u32, lm: u32, lambda: f64, h: f64) -> Result<ModelOutput, ModelError> {
-        HotSpotModel::new(ModelConfig::paper_validation(k, v, lm, lambda, h))
+    fn solve(k: u32, v: u32, lm: u32, lambda: f64, h: f64) -> Result<NCubeOutput, ModelError> {
+        NCubeModel::new(NCubeConfig::new(k, 2, v, lm, lambda, h))
             .unwrap()
             .solve()
     }
 
+    /// The paper's own zero-load derivation for the `k × k` torus: the five
+    /// regular route cases of Eqs. (11)–(15) with their closed-form
+    /// probabilities, and a sum over every hot-spot source position —
+    /// `(j)` in the hot y-ring and `(j, t)` elsewhere (Eqs. 21–24).  Every
+    /// path costs one cycle per channel for the header plus `Lm` to drain.
+    fn paper_zero_load_latency(k: u32, lm: u32, h: f64) -> f64 {
+        let kf = k as f64;
+        let lm = lm as f64;
+        let [y_only_hot_ring, y_only_nonhot_ring, x_only, x_then_hot_ring, x_then_nonhot_ring] =
+            five_cases(k);
+        // Mean over j = 1..k-1 of (j + Lm) is (k/2 + Lm).
+        let one_dim = kf / 2.0 + lm;
+        let two_dim = kf + lm; // j-average + second-dimension entrance average
+        let s_r = (y_only_hot_ring + y_only_nonhot_ring + x_only) * one_dim
+            + (x_then_hot_ring + x_then_nonhot_ring) * two_dim;
+        // Hot messages: source (j) in the hot ring costs j + Lm; source
+        // (j, t) costs j + t + Lm for t < k and j + Lm for t = k.
+        let mut s_h = 0.0;
+        for j in 1..k {
+            s_h += j as f64 + lm;
+            for t in 1..=k {
+                let tail = if t == k { 0.0 } else { t as f64 };
+                s_h += j as f64 + tail + lm;
+            }
+        }
+        s_h /= kf * kf - 1.0;
+        (1.0 - h) * s_r + h * s_h
+    }
+
     #[test]
     fn rejects_bad_configs() {
-        for cfg in [
-            ModelConfig::paper_validation(1, 2, 32, 1e-4, 0.2),
-            ModelConfig::paper_validation(16, 0, 32, 1e-4, 0.2),
-            ModelConfig::paper_validation(16, 2, 0, 1e-4, 0.2),
-            ModelConfig::paper_validation(16, 2, 32, 1e-4, 1.5),
-            ModelConfig::paper_validation(16, 2, 32, -1.0, 0.2),
-            ModelConfig::paper_validation(16, 2, 32, f64::NAN, 0.2),
+        for (k, v, lm, lambda, h) in [
+            (1u32, 2u32, 32u32, 1e-4, 0.2),
+            (16, 0, 32, 1e-4, 0.2),
+            (16, 2, 0, 1e-4, 0.2),
+            (16, 2, 32, 1e-4, 1.5),
+            (16, 2, 32, -1.0, 0.2),
+            (16, 2, 32, f64::NAN, 0.2),
         ] {
-            assert!(HotSpotModel::new(cfg).is_err());
+            assert!(NCubeModel::new(NCubeConfig::new(k, 2, v, lm, lambda, h)).is_err());
         }
     }
 
@@ -376,29 +65,58 @@ mod tests {
             (16, 100, 0.7),
             (4, 16, 0.0),
         ] {
-            let model =
-                HotSpotModel::new(ModelConfig::paper_validation(k, 2, lm, 1e-9, h)).unwrap();
+            let model = NCubeModel::new(NCubeConfig::new(k, 2, 2, lm, 1e-9, h)).unwrap();
             let out = model.solve().unwrap();
-            let expected = model.zero_load_latency();
+            let expected = paper_zero_load_latency(k, lm, h);
             assert!(
                 (out.latency - expected).abs() / expected < 1e-3,
                 "k={k} lm={lm} h={h}: solved {} vs closed form {expected}",
                 out.latency
             );
-            assert!(out.vbar_hot_ring < 1.0 + 1e-3);
+            assert!(out.vbar_hot[1] < 1.0 + 1e-3);
             assert!(out.source_wait_regular < 1e-3);
         }
     }
 
     #[test]
     fn zero_load_closed_forms_agree_across_the_apis() {
-        for (k, lm, h) in [(8u32, 32u32, 0.2f64), (16, 100, 0.7), (5, 16, 0.45)] {
-            let cfg = ModelConfig::paper_validation(k, 2, lm, 1e-6, h);
-            let wrapper = HotSpotModel::new(cfg).unwrap().zero_load_latency();
-            let general = NCubeModel::new(cfg.as_ncube()).unwrap().zero_load_latency();
+        for (k, lm, h) in [
+            (8u32, 32u32, 0.2f64),
+            (16, 32, 0.4),
+            (16, 100, 0.7),
+            (4, 16, 0.0),
+            (5, 16, 0.45),
+        ] {
+            let paper = paper_zero_load_latency(k, lm, h);
+            let general = NCubeModel::new(NCubeConfig::new(k, 2, 2, lm, 1e-6, h))
+                .unwrap()
+                .zero_load_latency();
             assert!(
-                (wrapper - general).abs() < 1e-9,
-                "k={k}: 2-D {wrapper} vs generalized {general}"
+                (paper - general).abs() < 1e-9,
+                "k={k}: five-case {paper} vs generalized {general}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over the whole domain the `latency_at_least_zero_load` property
+        /// test samples (and beyond), the generalized zero-load latency it
+        /// bounds against is the paper's five-case derivation.
+        #[test]
+        fn zero_load_closed_forms_agree_on_random_tori(
+            k in 2u32..=32,
+            lm in 1u32..=128,
+            h in 0.0f64..=1.0,
+        ) {
+            let paper = paper_zero_load_latency(k, lm, h);
+            let general = NCubeModel::new(NCubeConfig::new(k, 2, 2, lm, 1e-6, h))
+                .unwrap()
+                .zero_load_latency();
+            prop_assert!(
+                (paper - general).abs() < 1e-9,
+                "k={} lm={} h={}: five-case {} vs generalized {}", k, lm, h, paper, general
             );
         }
     }
@@ -454,11 +172,11 @@ mod tests {
 
     #[test]
     fn hot_ring_service_grows_towards_hot_node() {
-        // S^h_y,j is cumulative along the path, so it grows with j; the
-        // blocking per channel also peaks nearest the hot node (largest
-        // rate), which this ordering inherits.
+        // S^h_y,j (chain [1]) is cumulative along the path, so it grows
+        // with j; the blocking per channel also peaks nearest the hot node
+        // (largest rate), which this ordering inherits.
         let out = solve(16, 2, 32, 3e-4, 0.4).unwrap();
-        for w in out.hot_ring_services.windows(2) {
+        for w in out.hot_path_services[1].windows(2) {
             assert!(w[1] > w[0]);
         }
     }
@@ -466,29 +184,32 @@ mod tests {
     #[test]
     fn h_zero_hot_and_nonhot_rings_agree() {
         // With no hot traffic the hot ring is statistically identical to
-        // every other ring.
-        let out = solve(16, 2, 32, 4e-4, 0.0).unwrap();
-        let [nonhot, hot, ..] = out.entrance_services;
+        // every other ring: equal y-ring entrance services S^r_{y,k}
+        // (Eqs. 17–18) and equal multiplexing degrees.
+        let (k, lm) = (16u32, 32u32);
+        let out = solve(k, 2, lm, 4e-4, 0.0).unwrap();
+        let entrance = |blocking: f64| lm as f64 + (k as f64 / 2.0) * (1.0 + blocking);
+        let (nonhot, hot) = (entrance(out.blocking_nonhot), entrance(out.blocking_hot[1]));
         assert!(
             (nonhot - hot).abs() < 1e-6,
             "h=0 asymmetry: {nonhot} vs {hot}"
         );
-        assert!((out.vbar_hot_ring - out.vbar_nonhot_ring).abs() < 1e-6);
+        assert!((out.vbar_hot[1] - out.vbar_nonhot).abs() < 1e-6);
     }
 
     #[test]
     fn more_virtual_channels_multiplex_more() {
         let v2 = solve(16, 2, 32, 4e-4, 0.2).unwrap();
         let v4 = solve(16, 4, 32, 4e-4, 0.2).unwrap();
-        assert!(v4.vbar_x >= v2.vbar_x);
-        assert!(v4.vbar_hot_ring >= v2.vbar_hot_ring);
+        assert!(v4.vbar_hot[0] >= v2.vbar_hot[0]);
+        assert!(v4.vbar_hot[1] >= v2.vbar_hot[1]);
     }
 
     #[test]
     fn variant_changes_little_below_saturation() {
-        let base = ModelConfig::paper_validation(16, 2, 32, 2e-4, 0.4);
-        let a = HotSpotModel::new(base).unwrap().solve().unwrap();
-        let b = HotSpotModel::new(ModelConfig {
+        let base = NCubeConfig::new(16, 2, 2, 32, 2e-4, 0.4);
+        let a = NCubeModel::new(base).unwrap().solve().unwrap();
+        let b = NCubeModel::new(NCubeConfig {
             variant: ModelVariant::HotRingServiceEq25,
             ..base
         })

@@ -22,8 +22,7 @@
 //! the iterative service model, most of all near saturation, where plain
 //! Picard slows to hundreds of iterations per point.
 
-use crate::ncube::{NCubeConfig, NCubeModel, NCubeOutput};
-use crate::solver::ModelError;
+use crate::ncube::{ModelError, NCubeConfig, NCubeModel, NCubeOutput};
 use rayon::prelude::*;
 
 /// A latency model that can be solved at any rate `λ`.
@@ -264,11 +263,10 @@ pub fn find_saturation_ncube_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{HotSpotModel, ModelConfig};
 
-    /// The paper's 2-D configuration as the generalized model.
+    /// The paper's 16 × 16 torus with two virtual channels.
     fn paper(lm: u32, h: f64) -> NCubeModel {
-        NCubeModel::new(ModelConfig::paper_validation(16, 2, lm, 0.0, h).as_ncube()).unwrap()
+        NCubeModel::new(NCubeConfig::new(16, 2, 2, lm, 0.0, h)).unwrap()
     }
 
     fn saturation(model: &NCubeModel, lo: f64, hi: f64, tol: f64) -> f64 {
@@ -348,11 +346,13 @@ mod tests {
 
     #[test]
     fn ncube_curve_matches_2d_curve_at_n2() {
-        let base2d = ModelConfig::paper_validation(8, 2, 16, 0.0, 0.3);
+        // The pooled curve over the paper's torus equals point-by-point
+        // solves, bit for bit.
+        let base2d = NCubeConfig::new(8, 2, 2, 16, 0.0, 0.3);
         let lambdas = [2e-5, 1e-4, 2e-4];
-        let curve = latency_curve(&NCubeModel::new(base2d.as_ncube()).unwrap(), &lambdas);
+        let curve = latency_curve(&NCubeModel::new(base2d).unwrap(), &lambdas);
         for (p, &lambda) in curve.iter().zip(&lambdas) {
-            let paper = HotSpotModel::new(ModelConfig { lambda, ..base2d }).and_then(|m| m.solve());
+            let paper = NCubeModel::new(NCubeConfig { lambda, ..base2d }).and_then(|m| m.solve());
             match (&paper, &p.result) {
                 (Ok(x), Ok(y)) => assert_eq!(x.latency.to_bits(), y.latency.to_bits()),
                 (Err(_), Err(_)) => {}
@@ -392,7 +392,7 @@ mod tests {
         // there cost hundreds of iterations while the accelerated warm
         // chain stays flat.  (Far below saturation Picard converges in a
         // handful of iterations and continuation saves only ~20%.)
-        use crate::solver::ServiceTimeModel;
+        use crate::ncube::ServiceTimeModel;
         use kncube_queueing::fixed_point::Acceleration;
         let mut base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
         base.service_model = ServiceTimeModel::PathOccupancy;

@@ -13,8 +13,8 @@
 //!   the Dally–Seitz virtual-channel *dating* classes that make wormhole
 //!   routing deadlock-free on rings with wrap-around links;
 //! * the hot-spot geometry of §3 of the paper ([`hotspot`]): distances of
-//!   channels and rings from the hot-spot node / hot `y`-ring, and the
-//!   traffic fractions `P_hx,j`, `P_hy,j` of Eqs. (4)–(5).
+//!   channels from the hot coordinate of their dimension, and the traffic
+//!   fractions `P_{h,d,j}` of Eqs. (4)–(5) generalized to any dimension.
 //!
 //! Everything here is exact, deterministic combinatorics; the probabilistic
 //! machinery lives in `kncube-traffic` and `kncube-queueing`.
@@ -26,12 +26,10 @@ pub mod channel;
 pub mod faults;
 pub mod geometry;
 pub mod hotspot;
-pub mod ring;
 pub mod routing;
 
 pub use channel::{Channel, ChannelId, Direction};
 pub use faults::{FaultRouter, FaultSet};
 pub use geometry::{Boundary, KAryNCube, LinkKind, NodeId, TopologyError};
 pub use hotspot::HotSpotGeometry;
-pub use ring::{Ring, RingId};
 pub use routing::{DorRoute, Hop, VcClass};

@@ -2,7 +2,7 @@
 //! the simulator's queue blow-up, and the hot-channel flit bound must all
 //! tell the same story.
 
-use kncube::model::{find_saturation_ncube_report, ModelConfig};
+use kncube::model::{find_saturation_ncube_report, NCubeConfig};
 use kncube::sim::{SimConfig, Simulator};
 
 /// The hot channel into the hot-spot node carries `λ h k(k-1)` messages of
@@ -19,8 +19,8 @@ fn model_saturation_tracks_flit_bound() {
         (16, 32, 0.2),
         (16, 100, 0.7),
     ] {
-        let base = ModelConfig::paper_validation(k, 2, lm, 0.0, h);
-        let sat = find_saturation_ncube_report(base.as_ncube(), 1e-8, 1e-1, 1e-3)
+        let base = NCubeConfig::new(k, 2, 2, lm, 0.0, h);
+        let sat = find_saturation_ncube_report(base, 1e-8, 1e-1, 1e-3)
             .expect("paper configurations saturate inside the bracket")
             .lambda_star;
         let bound = flit_bound(k, lm, h);
@@ -38,14 +38,9 @@ fn model_saturation_tracks_flit_bound() {
 #[test]
 fn saturation_rate_decreases_with_h_and_lm() {
     let sat = |lm: u32, h: f64| {
-        find_saturation_ncube_report(
-            ModelConfig::paper_validation(8, 2, lm, 0.0, h).as_ncube(),
-            1e-8,
-            1e-1,
-            1e-3,
-        )
-        .expect("paper configurations saturate inside the bracket")
-        .lambda_star
+        find_saturation_ncube_report(NCubeConfig::new(8, 2, 2, lm, 0.0, h), 1e-8, 1e-1, 1e-3)
+            .expect("paper configurations saturate inside the bracket")
+            .lambda_star
     };
     assert!(sat(16, 0.1) > sat(16, 0.3));
     assert!(sat(16, 0.3) > sat(16, 0.7));

@@ -1,9 +1,9 @@
 //! Workspace-level smoke test: the facade re-exports compose across every
-//! crate, and one `ModelConfig::paper_validation` parameterisation
+//! crate, and one paper-torus parameterisation (`NCubeConfig` at `n = 2`)
 //! round-trips through both the analytical model and a short simulator
 //! run with consistent answers.
 
-use kncube::model::{find_saturation, latency_curve, HotSpotModel, ModelConfig, NCubeModel};
+use kncube::model::{find_saturation, latency_curve, NCubeConfig, NCubeModel};
 use kncube::sim::{SimConfig, Simulator};
 
 /// One modest operating point shared by every check below: an 8×8 torus
@@ -32,8 +32,9 @@ fn facade_reexports_compose_across_all_crates() {
     let wait = kncube::queueing::mg1::waiting_time(1e-3, (LM + 1) as f64, LM as f64).unwrap();
     assert!(wait > 0.0);
 
-    let probs = kncube::model::RegularRouteProbs::new(K);
-    assert!((probs.total() - 1.0).abs() < 1e-12);
+    let cases = kncube::model::entry_cases(K, 2);
+    let total: f64 = cases.iter().map(|c| c.probability).sum();
+    assert!((total - 1.0).abs() < 1e-12);
 
     assert_eq!(kncube::PAPER_RADIX, 16);
     assert!(kncube::PAPER_HOT_FRACTIONS.contains(&H));
@@ -44,8 +45,8 @@ fn paper_validation_round_trips_model_and_simulator() {
     let lambda = lambda();
 
     // Model side.
-    let model_cfg = ModelConfig::paper_validation(K, V, LM, lambda, H);
-    let model = HotSpotModel::new(model_cfg).unwrap();
+    let model_cfg = NCubeConfig::new(K, 2, V, LM, lambda, H);
+    let model = NCubeModel::new(model_cfg).unwrap();
     let out = model.solve().expect("sub-saturation point must solve");
     assert!(out.latency >= model.zero_load_latency());
     assert!(out.max_utilization < 1.0);
@@ -73,9 +74,9 @@ fn paper_validation_round_trips_model_and_simulator() {
 
 #[test]
 fn sweep_entrypoint_is_reachable_through_the_facade() {
-    let base = ModelConfig::paper_validation(K, V, LM, 0.0, H);
+    let base = NCubeConfig::new(K, 2, V, LM, 0.0, H);
     let grid = [0.5 * lambda(), lambda()];
-    let model = NCubeModel::new(base.as_ncube()).unwrap();
+    let model = NCubeModel::new(base).unwrap();
     let curve = latency_curve(&model, &grid);
     assert_eq!(curve.len(), 2);
     assert!(curve.iter().all(|p| p.result.is_ok()));
