@@ -24,9 +24,11 @@
 //!    where `λ_inj` counts only the *delivered* share of generation.
 //!
 //! Rates and composition read the routes through per-destination in-trees
-//! ([`FaultRouter::tree`]) rather than walking them pair by pair: one
-//! next-hop lookup per (node, destination), so construction and every
-//! solve cost `O(N²)` lookups, not `O(N²·D)`.
+//! ([`FaultRouter::tree`]) rather than walking them pair by pair.  Each
+//! tree edge's channel and sink are read from the next-hop table the
+//! router recorded during its build, so construction and every solve cost
+//! `O(N²)` table reads, not `O(N²·D)` route steps, and no pass searches
+//! for a hop or does coordinate arithmetic.
 //!
 //! Superposition is approximate exactly where it is in the paper: channel
 //! arrivals are treated as independent Poisson streams even though the
@@ -138,22 +140,14 @@ pub struct FaultyNCubeOutput {
 }
 
 /// The faulty-network latency model.  See the module docs for the
-/// decomposition; construction builds the router, the per-channel unit
-/// loads and the reachability census once, so re-solving at other rates
-/// ([`FaultyNCubeModel::solve_at`]) costs one `O(N²)` composition pass.
+/// decomposition; construction builds the router (with its reachability
+/// census) and the per-channel unit loads once, so re-solving at other
+/// rates ([`FaultyNCubeModel::solve_at`]) costs one `O(N²)` composition
+/// pass.
 pub struct FaultyNCubeModel {
     config: FaultyNCubeConfig,
     router: FaultRouter,
     rates: FaultyChannelRates,
-    census: Census,
-}
-
-/// The router's reachability census, fixed by the fault set and taken
-/// once per model.
-struct Census {
-    reachable_pairs: u64,
-    reachable_fraction: f64,
-    mean_detour_hops: f64,
 }
 
 impl FaultyNCubeModel {
@@ -194,18 +188,10 @@ impl FaultyNCubeModel {
         }
         let router = FaultRouter::new(config.faults.clone());
         let rates = FaultyChannelRates::from_router(&router, config.hot_node, config.hot_fraction);
-        let reachable_pairs = router.reachable_pairs();
-        let n = u64::from(topo.num_nodes());
-        let census = Census {
-            reachable_pairs,
-            reachable_fraction: reachable_pairs as f64 / (n * (n - 1)) as f64,
-            mean_detour_hops: router.expected_detour(),
-        };
         Ok(FaultyNCubeModel {
             config,
             router,
             rates,
-            census,
         })
     }
 
@@ -364,17 +350,13 @@ impl FaultyNCubeModel {
         let (mut regular_num, mut regular_den, mut hot_num, mut hot_den) = (0.0, 0.0, 0.0, 0.0);
         let mut sources = vec![SourceSums::default(); n_nodes as usize];
         let mut s_net = vec![lm; n_nodes as usize];
-        let mut order = Vec::new();
+        let mut tree = Vec::new();
         for dest in topo.nodes() {
-            self.router.tree(dest, &mut order);
+            self.router.tree(dest, &mut tree);
             s_net[dest.index()] = lm;
-            for &src in &order {
-                let hop = self
-                    .router
-                    .next_hop(src, dest)
-                    .expect("tree nodes have a next hop");
-                let id = hop.channel.id(&topo).index();
-                let s = s_net[hop.channel.to(&topo).index()] + 1.0 + blocking[id];
+            for edge in &tree {
+                let (src, id) = (edge.node, edge.channel.index());
+                let s = s_net[edge.next.index()] + 1.0 + blocking[id];
                 s_net[src.index()] = s;
                 let pair_weight = if src == hot_node { 1.0 } else { 1.0 - h } / others;
                 let sums = &mut sources[src.index()];
@@ -421,9 +403,9 @@ impl FaultyNCubeModel {
             hot_latency: ratio(hot_num, hot_den),
             source_wait_regular: ratio(wait_sum, healthy_sources),
             max_utilization,
-            reachable_pairs: self.census.reachable_pairs,
-            reachable_fraction: self.census.reachable_fraction,
-            mean_detour_hops: self.census.mean_detour_hops,
+            reachable_pairs: self.router.reachable_pairs(),
+            reachable_fraction: self.router.reachable_fraction(),
+            mean_detour_hops: self.router.expected_detour(),
             delivered_fraction: latency_den / n_nodes as f64,
             iterations: 1,
             delegated: false,
@@ -711,7 +693,8 @@ mod tests {
 
     #[test]
     fn networks_beyond_the_router_limit_are_rejected_before_building_it() {
-        // 32768 nodes: the router's N × N distance table would be 2 GiB.
+        // 32768 nodes: the router's N × N distance and next-hop tables
+        // would be 3 GiB.
         let topo = KAryNCube::bidirectional(8, 5).unwrap();
         let mut faults = FaultSet::none(topo);
         faults.fail_node(NodeId(7));

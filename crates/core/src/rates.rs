@@ -123,7 +123,7 @@ impl NCubeRates {
 /// The routes into one destination form an in-tree
 /// ([`FaultRouter::tree`]), so one farthest-first pass per destination
 /// accumulates every channel's load as the summed share of the subtree
-/// routed through it: `O(N)` next-hop lookups per destination.
+/// routed through it: `O(N)` table reads per destination.
 ///
 /// Rates are stored per unit `λ`; multiply by the per-node generation rate
 /// at query time, which keeps one enumeration valid for a whole λ sweep.
@@ -147,27 +147,28 @@ impl FaultyChannelRates {
         // (regular, hot) unit load routed through each node: its own share
         // plus everything its subtree sends through it.
         let mut load = vec![(0.0, 0.0); n_nodes as usize];
-        let mut order = Vec::new();
+        let mut tree = Vec::new();
         for dest in topo.nodes() {
-            router.tree(dest, &mut order);
+            router.tree(dest, &mut tree);
             // The hot node generates only regular traffic; everyone else
             // splits `1 - h` uniform / `h` hot.  Failed sources are in no
             // tree: their traffic is dropped whole.
             let hot_share = if dest == hot { hot_fraction } else { 0.0 };
-            for &src in &order {
-                let regular_share = if src == hot { 1.0 } else { 1.0 - hot_fraction };
-                load[src.index()] = (regular_share / others, hot_share);
+            for edge in &tree {
+                let regular_share = if edge.node == hot {
+                    1.0
+                } else {
+                    1.0 - hot_fraction
+                };
+                load[edge.node.index()] = (regular_share / others, hot_share);
             }
-            for &cur in order.iter().rev() {
-                let hop = router
-                    .next_hop(cur, dest)
-                    .expect("tree nodes have a next hop");
-                let (regular, hot_load) = load[cur.index()];
-                let id = hop.channel.id(&topo).index();
+            for edge in tree.iter().rev() {
+                let (regular, hot_load) = load[edge.node.index()];
+                let id = edge.channel.index();
                 regular_unit[id] += regular;
                 hot_unit[id] += hot_load;
                 // `dest`'s own entry is never read in this pass.
-                let next = &mut load[hop.channel.to(&topo).index()];
+                let next = &mut load[edge.next.index()];
                 *next = (next.0 + regular, next.1 + hot_load);
             }
         }

@@ -181,7 +181,7 @@ impl SimConfig {
                 .is_ok_and(|t| t.num_nodes() > MAX_FAULT_ROUTER_NODES)
             {
                 return Err(SimConfigError::Invalid(
-                    "network too large for the fault router's N × N distance table",
+                    "network too large for the fault router's N × N routing tables",
                 ));
             }
         }

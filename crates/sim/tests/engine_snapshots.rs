@@ -6,7 +6,9 @@
 //! (`f64::to_bits`).  A run is a pure function of (config, seed); these
 //! tests prove the SoA engine is *observably identical* to the original
 //! object-graph engine, not merely statistically close, for n ∈ {2, 3}
-//! and for both ejection policies and buffer depths.
+//! and for both ejection policies and buffer depths.  The two
+//! fault-injection cases were recorded from the router that searched for
+//! each next hop, before it read a table built during its BFS.
 //!
 //! If an intentional behaviour change ever lands (new arbitration rule,
 //! different accumulation order), re-record the constants in the same
@@ -327,5 +329,73 @@ fn snapshot_mesh_k8() {
         vbar_measured: 0x3ffcf181f76e6509,
         max_source_queue: 159,
         in_flight_at_end: 2731,
+    });
+}
+
+/// Fault injection at 3% router / 6% link failure: routes follow the
+/// fault router's next hops, detours included, and unreachable pairs drop
+/// at generation.  Pins which hop every header takes under faults.
+const FAULTS: kncube_traffic::FaultSpec = kncube_traffic::FaultSpec {
+    router_failure_prob: 0.03,
+    link_failure_prob: 0.06,
+};
+
+#[test]
+fn snapshot_faulty_bidirectional_torus_k8() {
+    use kncube_topology::{Boundary, LinkKind};
+    check(Snapshot {
+        name: "faulty_bidi_torus_k8",
+        config: SimConfig::paper_validation(8, 2, 16, 2e-3, 0.2, 313)
+            .with_topology(LinkKind::Bidirectional, Boundary::Torus)
+            .with_faults(FAULTS)
+            .with_limits(30_000, 2_000, 0),
+        mean_latency: 0x4036e6f6fe5220a9,
+        ci_half_width: Some(0x3fd6f037b93b8f66),
+        latency_std_dev: 0x4014edd8530511e0,
+        max_latency: 0x4050400000000000,
+        completed: 3354,
+        completed_regular: 2658,
+        completed_hot: 696,
+        mean_latency_regular: 0x403682b25f284242,
+        mean_latency_hot: 0x403865e293205e24,
+        generated: 3845,
+        dropped_unreachable: 236,
+        mean_detour_hops: 0x3fac64c057edae7c,
+        reachable_fraction: 0x3fee041041041041,
+        cycles: 30000,
+        throughput: 0x3f5eaa46cd6298b9,
+        vbar_measured: 0x3ff034ebf19f38d8,
+        max_source_queue: 0,
+        in_flight_at_end: 1,
+    });
+}
+
+#[test]
+fn snapshot_faulty_mesh_k8() {
+    use kncube_topology::{Boundary, LinkKind};
+    check(Snapshot {
+        name: "faulty_mesh_k8",
+        config: SimConfig::paper_validation(8, 2, 16, 2e-3, 0.2, 314)
+            .with_topology(LinkKind::Bidirectional, Boundary::Mesh)
+            .with_faults(FAULTS)
+            .with_limits(30_000, 2_000, 0),
+        mean_latency: 0x403bf8ace401bd91,
+        ci_half_width: Some(0x3fd85158e5ef51ef),
+        latency_std_dev: 0x402451a42c8f603b,
+        max_latency: 0x405d400000000000,
+        completed: 3530,
+        completed_regular: 2830,
+        completed_hot: 700,
+        mean_latency_regular: 0x4039d4ab82cde2b7,
+        mean_latency_hot: 0x4042501767dce432,
+        generated: 3980,
+        dropped_unreachable: 204,
+        mean_detour_hops: 0x3fd4feb1d274e77d,
+        reachable_fraction: 0x3fee041041041041,
+        cycles: 30000,
+        throughput: 0x3f60231bcb564eff,
+        vbar_measured: 0x3ff355fb34dc59c1,
+        max_source_queue: 0,
+        in_flight_at_end: 4,
     });
 }

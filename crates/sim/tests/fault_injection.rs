@@ -230,7 +230,7 @@ fn fully_partitioned_network_drops_everything_without_panicking() {
 #[test]
 fn fault_injection_beyond_the_router_limit_is_rejected_up_front() {
     // An (8,5) bi-torus has 32768 nodes: its fault router's N × N distance
-    // table would be 2 GiB.  The config is refused before anything is
+    // and next-hop tables would be 3 GiB.  The config is refused before anything is
     // built; the 4096-node (16,3) limit itself is accepted.
     let spec = FaultSpec {
         router_failure_prob: 0.02,

@@ -18,15 +18,16 @@
 //!   meshes) are permanently "failed".
 //!
 //! The router is a brute-force breadth-first search per destination over
-//! the surviving digraph — exact and deterministic (ties broken by lowest
-//! [`ChannelId`]), which is what a correctness oracle and a small-network
-//! simulator need; it is *not* a scalable fault-tolerant routing algorithm.
+//! the surviving digraph that records every pair's distance and next hop
+//! — exact and deterministic (ties broken by lowest [`ChannelId`]), which
+//! is what a correctness oracle and a small-network simulator need; it is
+//! *not* a scalable fault-tolerant routing algorithm.
 //! With an empty fault set its hop sequences coincide with dimension-order
 //! routing ([`KAryNCube::dor_route`]): the lowest-channel-id tie-break
 //! picks the lowest dimension first and resolves the even-`k` half-ring tie
 //! towards `Plus`, exactly the DOR conventions.
 
-use crate::channel::{Channel, Direction};
+use crate::channel::{Channel, ChannelId, Direction};
 use crate::geometry::{Boundary, KAryNCube, LinkKind, NodeId};
 use crate::routing::{Hop, VcClass};
 
@@ -34,7 +35,8 @@ use crate::routing::{Hop, VcClass};
 const UNREACHABLE: u16 = u16::MAX;
 
 /// Largest network, in nodes, a [`FaultRouter`] serves: its `N × N`
-/// `u16` distance table is 32 MiB here, and would be 2 GiB at `(32, 3)`.
+/// tables (a `u16` distance and a `u8` next-hop port per pair) are 48 MiB
+/// here, and would be 3 GiB at `(32, 3)`.
 /// The faulty model and the simulator's fault injection reject larger
 /// networks before building one.
 pub const MAX_FAULT_ROUTER_NODES: u32 = 1 << 12;
@@ -173,58 +175,177 @@ fn fnv1a(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// Deterministic fault-aware router: exact shortest surviving paths.
 ///
 /// Construction runs one reverse breadth-first search per destination over
-/// the surviving digraph and stores the full `N × N` distance table
-/// (`u16` per pair).  [`FaultRouter::next_hop`] then picks, at each node,
-/// the lowest-[`ChannelId`] surviving out-channel that decreases the
-/// distance to the destination — a deterministic minimal route in the
-/// surviving graph.
-///
-/// [`ChannelId`]: crate::channel::ChannelId
+/// the surviving digraph and stores two `N × N` tables: the distance
+/// (`u16` per pair) and the next-hop port (`u8` per pair, `dim·2 +
+/// direction`).  The port is the lowest-[`ChannelId`] surviving
+/// out-channel that decreases the distance to the destination — a
+/// deterministic minimal route in the surviving graph — recorded while the
+/// search runs, so [`FaultRouter::next_hop`] and the in-trees of
+/// [`FaultRouter::tree`] read it instead of searching for it.  The
+/// reachability census is taken during the same build.
 #[derive(Clone, Debug)]
 pub struct FaultRouter {
     topo: KAryNCube,
     faults: FaultSet,
     /// Destination-major distance table: `dist[dest·N + node]`.
     dist: Vec<u16>,
+    /// Destination-major next-hop table: `port[dest·N + node]` is the
+    /// out-port `dim·2 + direction` of the route's next hop, or
+    /// [`NO_PORT`] when `node == dest` or `dest` is unreachable.
+    port: Vec<u8>,
+    /// Surviving out-links: `links[node·2n + port]` is the channel's id and
+    /// its sink.  Entries of dead ports are never read.
+    links: Vec<(ChannelId, NodeId)>,
+    /// Node coordinates, `coords[node·n + dim]`.
+    coords: Vec<u32>,
+    /// The largest finite distance in `dist` (0 when nothing survives).
+    max_distance: u16,
+    /// Ordered pairs `(src, dest)`, `src != dest`, with a surviving route.
+    reachable_pairs: u64,
+    /// Surviving distance minus fault-free minimal distance, summed over
+    /// those pairs.
+    detour_hops: u64,
+}
+
+/// Next-hop marker for pairs without a hop (`node == dest`, or `dest`
+/// unreachable from `node`).
+const NO_PORT: u8 = u8::MAX;
+
+/// Placeholder out-link of a port whose channel is dead.
+const DEAD_LINK: (ChannelId, NodeId) = (ChannelId(u32::MAX), NodeId(u32::MAX));
+
+/// The out-channel of `node` on `port` (`dim·2 + direction`).
+#[inline]
+fn port_channel(node: NodeId, port: u8) -> Channel {
+    Channel {
+        from: node,
+        dim: u32::from(port >> 1),
+        direction: if port & 1 == 0 {
+            Direction::Plus
+        } else {
+            Direction::Minus
+        },
+    }
+}
+
+/// One edge of a destination's routing in-tree: `node`'s next hop towards
+/// the destination crosses `channel` into `next`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TreeEdge {
+    /// A node with a surviving route to the destination.
+    pub node: NodeId,
+    /// The channel of its next hop.
+    pub channel: ChannelId,
+    /// That channel's sink: the route's next node (the destination
+    /// itself on the last hop).
+    pub next: NodeId,
 }
 
 impl FaultRouter {
-    /// Build the distance tables for `faults` (which carries its topology).
+    /// Build the distance and next-hop tables for `faults` (which carries
+    /// its topology), and take the reachability census.
     pub fn new(faults: FaultSet) -> Self {
         let topo = *faults.topology();
         let nodes = topo.num_nodes() as usize;
+        let n = topo.n() as usize;
+        let ports = 2 * n;
+        let coords: Vec<u32> = topo
+            .nodes()
+            .flat_map(|node| (0..topo.n()).map(move |dim| topo.coord(node, dim)))
+            .collect();
+
+        // Surviving links, once: out-links by (node, port) for the hop
+        // tables, and each node's in-links (predecessor, port) for the
+        // reverse searches — at most one per (dim, direction), so `2n`
+        // slots a node.
+        let mut links = vec![DEAD_LINK; nodes * ports];
+        let mut in_links = vec![(0u32, 0u8); nodes * ports];
+        let mut in_count = vec![0usize; nodes];
+        for node in topo.nodes() {
+            for port in 0..ports as u8 {
+                let channel = port_channel(node, port);
+                if !faults.channel_failed(channel) {
+                    let to = channel.to(&topo);
+                    links[node.index() * ports + port as usize] = (channel.id(&topo), to);
+                    let count = &mut in_count[to.index()];
+                    in_links[to.index() * ports + *count] = (node.0, port);
+                    *count += 1;
+                }
+            }
+        }
+
+        // Fault-free minimal hops in one ring by coordinate difference
+        // `to - from`, offset by `k - 1`: the census reads it instead of
+        // taking a ring distance per pair and dimension.
+        let k = topo.k();
+        let ring_hops: Vec<u32> = (0..2 * k - 1)
+            .map(|i| match i.checked_sub(k - 1) {
+                Some(ahead) => topo.ring_offset_routed(0, ahead),
+                None => topo.ring_offset_routed(k - 1 - i, 0),
+            })
+            .map(|offset| offset.unsigned_abs() as u32)
+            .collect();
+
         let mut dist = vec![UNREACHABLE; nodes * nodes];
-        let mut queue = std::collections::VecDeque::with_capacity(nodes);
+        let mut port = vec![NO_PORT; nodes * nodes];
+        let (mut max_distance, mut reachable_pairs, mut detour_hops) = (0u16, 0u64, 0u64);
+        let mut queue: Vec<u32> = Vec::with_capacity(nodes);
         for dest in topo.nodes() {
             if faults.node_failed(dest) {
                 continue;
             }
-            let table = &mut dist[dest.index() * nodes..(dest.index() + 1) * nodes];
-            table[dest.index()] = 0;
+            let row = dest.index() * nodes..(dest.index() + 1) * nodes;
+            let (dist_row, port_row) = (&mut dist[row.clone()], &mut port[row]);
+            dist_row[dest.index()] = 0;
             queue.clear();
-            queue.push_back(dest);
-            while let Some(u) = queue.pop_front() {
-                let d = table[u.index()];
-                // Predecessors of `u`: sources of surviving channels into it.
-                for dim in 0..topo.n() {
-                    for (v, direction) in [
-                        (topo.neighbor_minus(u, dim), Direction::Plus),
-                        (topo.neighbor_plus(u, dim), Direction::Minus),
-                    ] {
-                        let c = Channel {
-                            from: v,
-                            dim,
-                            direction,
-                        };
-                        if table[v.index()] == UNREACHABLE && !faults.channel_failed(c) {
-                            table[v.index()] = d + 1;
-                            queue.push_back(v);
-                        }
+            queue.push(dest.0);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                let u = u as usize;
+                let d = dist_row[u] + 1;
+                for &(v, p) in &in_links[u * ports..u * ports + in_count[u]] {
+                    let v = v as usize;
+                    // First reached: the hop into `u` decreases the
+                    // distance.  Reached again from another node at the
+                    // same depth: keep the lower port.
+                    if dist_row[v] == UNREACHABLE {
+                        dist_row[v] = d;
+                        port_row[v] = p;
+                        queue.push(v as u32);
+                    } else if dist_row[v] == d && p < port_row[v] {
+                        port_row[v] = p;
                     }
                 }
             }
+            // Census over this destination's sources, the destination's
+            // coordinates hoisted: the queue holds exactly the nodes that
+            // reach it, nearest first.
+            let far = *queue.last().expect("dest is queued") as usize;
+            max_distance = max_distance.max(dist_row[far]);
+            reachable_pairs += queue.len() as u64 - 1;
+            let target = &coords[dest.index() * n..(dest.index() + 1) * n];
+            for &src in &queue[1..] {
+                let src = src as usize;
+                let minimal: u32 = coords[src * n..(src + 1) * n]
+                    .iter()
+                    .zip(target)
+                    .map(|(&a, &b)| ring_hops[(b + k - 1 - a) as usize])
+                    .sum();
+                detour_hops += u64::from(dist_row[src]) - u64::from(minimal);
+            }
         }
-        FaultRouter { topo, faults, dist }
+        FaultRouter {
+            topo,
+            faults,
+            dist,
+            port,
+            links,
+            coords,
+            max_distance,
+            reachable_pairs,
+            detour_hops,
+        }
     }
 
     /// The underlying topology.
@@ -242,6 +363,16 @@ impl FaultRouter {
         self.dist[dest.index() * self.topo.num_nodes() as usize + node.index()]
     }
 
+    #[inline]
+    fn port_raw(&self, node: NodeId, dest: NodeId) -> u8 {
+        self.port[dest.index() * self.topo.num_nodes() as usize + node.index()]
+    }
+
+    #[inline]
+    fn coord(&self, node: NodeId, dim: u32) -> u32 {
+        self.coords[node.index() * self.topo.n() as usize + dim as usize]
+    }
+
     /// Length in hops of the shortest surviving path from `src` to `dest`,
     /// or `None` when no such path exists (including when either endpoint
     /// router has failed).  `Some(0)` iff `src == dest` on a healthy node.
@@ -257,7 +388,8 @@ impl FaultRouter {
 
     /// The next hop of the deterministic shortest surviving route at `cur`
     /// heading for `dest`; `None` when `cur == dest` or `dest` is
-    /// unreachable from `cur`.
+    /// unreachable from `cur`.  The channel is read from the next-hop
+    /// table the build recorded.
     ///
     /// The virtual-channel class is the stateless Dally–Seitz dateline
     /// rule ([`VcClass::for_hop`]) applied to the hop's own ring: it
@@ -271,32 +403,14 @@ impl FaultRouter {
     /// simulator with a faulted route set.  Mesh routes use only
     /// [`VcClass::High`].
     pub fn next_hop(&self, cur: NodeId, dest: NodeId) -> Option<Hop> {
-        if cur == dest {
-            return None;
-        }
-        let d = self.dist_raw(cur, dest);
-        if d == UNREACHABLE || self.faults.node_failed(cur) {
-            return None;
-        }
-        for dim in 0..self.topo.n() {
-            for direction in [Direction::Plus, Direction::Minus] {
-                let channel = Channel {
-                    from: cur,
-                    dim,
-                    direction,
-                };
-                if self.faults.channel_failed(channel) {
-                    continue;
-                }
-                // `d - 1` rather than `neighbor + 1`: the neighbor may sit
-                // at the UNREACHABLE marker, which must not wrap.
-                if self.dist_raw(channel.to(&self.topo), dest) == d - 1 {
-                    let vc_class = self.hop_class(channel, dest);
-                    return Some(Hop { channel, vc_class });
-                }
+        match self.port_raw(cur, dest) {
+            NO_PORT => None,
+            port => {
+                let channel = port_channel(cur, port);
+                let vc_class = self.hop_class(channel, dest);
+                Some(Hop { channel, vc_class })
             }
         }
-        unreachable!("finite BFS distance implies a distance-decreasing out-channel");
     }
 
     /// Stateless Dally–Seitz dateline class for a hop heading to `dest`:
@@ -311,8 +425,8 @@ impl FaultRouter {
         if self.topo.boundary() == Boundary::Mesh {
             return VcClass::High;
         }
-        let cur = self.topo.coord(channel.from, channel.dim);
-        let target = self.topo.coord(dest, channel.dim);
+        let cur = self.coord(channel.from, channel.dim);
+        let target = self.coord(dest, channel.dim);
         if cur == target {
             let crosses = match channel.direction {
                 Direction::Plus => cur == self.topo.k() - 1,
@@ -339,46 +453,56 @@ impl FaultRouter {
         Some(hops)
     }
 
-    /// Fill `order` with every node that has a surviving route to `dest`
-    /// (`dest` excluded), nearest first, ties by node index: the in-tree
-    /// the deterministic routes into `dest` form, each node listed after
-    /// its [`FaultRouter::next_hop`].  A counting sort of the distances.
-    pub fn tree(&self, dest: NodeId, order: &mut Vec<NodeId>) {
+    /// Fill `edges` with the in-tree the deterministic routes into `dest`
+    /// form: one [`TreeEdge`] per node with a surviving route to `dest`
+    /// (`dest` excluded), nearest first, ties by node index — so every
+    /// edge's `next` is listed before it, or is `dest`.  A counting sort
+    /// of the distances; the channels and sinks are table reads.
+    pub fn tree(&self, dest: NodeId, edges: &mut Vec<TreeEdge>) {
         let nodes = self.topo.num_nodes() as usize;
-        let table = &self.dist[dest.index() * nodes..(dest.index() + 1) * nodes];
-        let in_tree = |d: u16| d != 0 && d != UNREACHABLE;
+        let ports = 2 * self.topo.n() as usize;
+        let row = dest.index() * nodes..(dest.index() + 1) * nodes;
+        let (dist, port) = (&self.dist[row.clone()], &self.port[row]);
         // Per-distance counts, turned into each distance's next free slot.
-        let mut slot = vec![0usize; nodes];
-        for &d in table.iter().filter(|&&d| in_tree(d)) {
+        let mut slot = vec![0usize; self.max_distance as usize + 1];
+        for &d in dist.iter().filter(|&&d| d != UNREACHABLE) {
             slot[d as usize] += 1;
         }
+        // `dest` itself sits alone at distance 0 and is not listed.
+        slot[0] = 0;
         let mut total = 0;
         for s in &mut slot {
             (*s, total) = (total, total + *s);
         }
-        order.clear();
-        order.resize(total, dest);
-        for (node, &d) in table.iter().enumerate().filter(|&(_, &d)| in_tree(d)) {
-            order[slot[d as usize]] = NodeId(node as u32);
-            slot[d as usize] += 1;
+        // Every slot below `total` is overwritten, so stale entries of a
+        // previous call need no reset.
+        edges.truncate(total);
+        let (channel, next) = DEAD_LINK;
+        edges.resize(
+            total,
+            TreeEdge {
+                node: dest,
+                channel,
+                next,
+            },
+        );
+        for (node, (&d, &p)) in dist.iter().zip(port).enumerate() {
+            if p != NO_PORT {
+                let (channel, next) = self.links[node * ports + p as usize];
+                edges[slot[d as usize]] = TreeEdge {
+                    node: NodeId(node as u32),
+                    channel,
+                    next,
+                };
+                slot[d as usize] += 1;
+            }
         }
     }
 
     /// Number of ordered pairs `(src, dest)` with `src != dest` that can
-    /// still communicate.
+    /// still communicate (counted during the build).
     pub fn reachable_pairs(&self) -> u64 {
-        let mut pairs = 0u64;
-        for src in self.topo.nodes() {
-            if self.faults.node_failed(src) {
-                continue;
-            }
-            for dest in self.topo.nodes() {
-                if src != dest && self.dist_raw(src, dest) != UNREACHABLE {
-                    pairs += 1;
-                }
-            }
-        }
-        pairs
+        self.reachable_pairs
     }
 
     /// Fraction of the `N(N-1)` ordered pairs that can still communicate
@@ -390,29 +514,13 @@ impl FaultRouter {
 
     /// Mean detour over the reachable ordered pairs: surviving shortest
     /// distance minus the fault-free minimal distance
-    /// ([`KAryNCube::hop_count`]).  0.0 when no pair is reachable.
+    /// ([`KAryNCube::hop_count`]), summed during the build.  0.0 when no
+    /// pair is reachable.
     pub fn expected_detour(&self) -> f64 {
-        let mut pairs = 0u64;
-        let mut extra = 0u64;
-        for src in self.topo.nodes() {
-            if self.faults.node_failed(src) {
-                continue;
-            }
-            for dest in self.topo.nodes() {
-                if src == dest {
-                    continue;
-                }
-                let d = self.dist_raw(src, dest);
-                if d != UNREACHABLE {
-                    pairs += 1;
-                    extra += d as u64 - self.topo.hop_count(src, dest) as u64;
-                }
-            }
-        }
-        if pairs == 0 {
+        if self.reachable_pairs == 0 {
             0.0
         } else {
-            extra as f64 / pairs as f64
+            self.detour_hops as f64 / self.reachable_pairs as f64
         }
     }
 
@@ -428,45 +536,58 @@ impl FaultRouter {
     /// load.  Sweeps that need clean latency measurements use this
     /// predicate to select provably safe fault samples.
     pub fn deadlock_free(&self) -> bool {
-        // Vertex per (channel, class): index = channel · 2 + class.
+        // Vertex per (channel, class): index = channel · 2 + class.  A
+        // vertex feeds only (out-channel, class) pairs of its channel's
+        // sink — at most 4n ≤ 32, named by `port · 2 + class` — so its
+        // successor set is one bit mask, kept beside the sink.
         let nv = self.topo.num_channels() as usize * 2;
-        // Out-lists stay short (a channel feeds only the outgoing channels
-        // of its head node, in two classes), so deduplicating by scan is
-        // cheap and needs no dense nv × nv matrix.
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); nv];
+        let ports = 2 * self.topo.n() as usize;
+        let mut succ = vec![0u32; nv];
+        let mut sink = vec![0u32; nv];
         // Routes are paths in their destination's in-tree: the edges are
         // (hop(cur), hop(next)) over tree nodes not next to `dest`.
-        let mut order = Vec::new();
-        let mut vertex = vec![0u32; self.topo.num_nodes() as usize];
+        let mut edges = Vec::new();
+        // Per tree node: its hop's vertex and its successor bit.
+        let mut hop = vec![(0u32, 0u8); self.topo.num_nodes() as usize];
         for dest in self.topo.nodes() {
-            self.tree(dest, &mut order);
-            for &cur in &order {
-                let hop = self
-                    .next_hop(cur, dest)
-                    .expect("tree nodes have a next hop");
-                let v = hop.channel.id(&self.topo).index() * 2 + hop.vc_class as usize;
-                vertex[cur.index()] = v as u32;
-                let next = hop.channel.to(&self.topo);
-                if next != dest && !out[v].contains(&vertex[next.index()]) {
-                    out[v].push(vertex[next.index()]);
+            self.tree(dest, &mut edges);
+            for edge in &edges {
+                let port = self.port_raw(edge.node, dest);
+                let class = self.hop_class(port_channel(edge.node, port), dest) as u8;
+                let v = edge.channel.index() * 2 + class as usize;
+                hop[edge.node.index()] = (v as u32, port * 2 + class);
+                if edge.next != dest {
+                    // `next` precedes `edge.node` in the tree: its hop is set.
+                    succ[v] |= 1 << hop[edge.next.index()].1;
+                    sink[v] = edge.next.0;
                 }
             }
         }
         // Kahn's algorithm: the graph is acyclic iff every vertex drains.
+        let successors = |u: usize| {
+            let (mut mask, base) = (succ[u], sink[u] as usize * ports);
+            std::iter::from_fn(move || {
+                (mask != 0).then(|| {
+                    let bit = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    self.links[base + bit / 2].0.index() * 2 + bit % 2
+                })
+            })
+        };
         let mut indeg = vec![0u32; nv];
-        for edges in &out {
-            for &v in edges {
-                indeg[v as usize] += 1;
+        for u in 0..nv {
+            for v in successors(u) {
+                indeg[v] += 1;
             }
         }
         let mut stack: Vec<usize> = (0..nv).filter(|&v| indeg[v] == 0).collect();
         let mut drained = 0usize;
         while let Some(u) = stack.pop() {
             drained += 1;
-            for &v in &out[u] {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    stack.push(v as usize);
+            for v in successors(u) {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    stack.push(v);
                 }
             }
         }
@@ -477,12 +598,7 @@ impl FaultRouter {
     /// network) — an upper bound on surviving route lengths, used to size
     /// per-message hop storage.
     pub fn max_finite_distance(&self) -> u32 {
-        self.dist
-            .iter()
-            .filter(|&&d| d != UNREACHABLE)
-            .map(|&d| d as u32)
-            .max()
-            .unwrap_or(0)
+        u32::from(self.max_distance)
     }
 }
 

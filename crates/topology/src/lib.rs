@@ -29,7 +29,7 @@ pub mod hotspot;
 pub mod routing;
 
 pub use channel::{Channel, ChannelId, Direction};
-pub use faults::{FaultRouter, FaultSet};
+pub use faults::{FaultRouter, FaultSet, TreeEdge};
 pub use geometry::{Boundary, KAryNCube, LinkKind, NodeId, TopologyError};
 pub use hotspot::HotSpotGeometry;
 pub use routing::{DorRoute, Hop, VcClass};

@@ -10,11 +10,16 @@
 //! * distances agree pair-for-pair (including unreachable markers),
 //! * every produced route is legal (edge-by-edge present in the surviving
 //!   digraph) and **minimal** (length equals the oracle's BFS distance),
+//! * every `next_hop(cur, dest)` is **the** hop the routing rule names:
+//!   the lowest-`ChannelId` surviving out-channel of `cur` whose oracle
+//!   distance to `dest` is one less, so a different choice among equally
+//!   short hops — which would move every faulty-model number — fails here,
 //! * `reachable_pairs` / `reachable_fraction` / `expected_detour` /
 //!   `max_finite_distance` match oracle recomputation, with the fault-free
 //!   minimal distances themselves re-derived by a second oracle BFS,
 //! * `tree(dest)` lists exactly the nodes with a finite oracle distance to
-//!   `dest`, nearest first and ties by node index,
+//!   `dest`, nearest first and ties by node index, each with its
+//!   `next_hop`'s channel and sink,
 //! * `deadlock_free()` gives the verdict of a channel-dependency graph
 //!   built here from the consecutive hops of every walked `route()`.
 //!
@@ -210,6 +215,26 @@ fn sampled_topologies() -> Vec<KAryNCube> {
     topologies
 }
 
+/// The hop the routing rule names at `cur` for a `dest` at oracle
+/// distance `d >= 1`: among the surviving out-edges whose head is at
+/// distance `d - 1`, the lowest channel id.  For one source node the id
+/// packing orders channels by dimension, then `Plus` before `Minus`.
+/// Returned as `(neighbor, dim, is_plus)`.
+fn oracle_next_hop(
+    oracle: &OracleGraph,
+    dist: &[Vec<Option<u32>>],
+    cur: u32,
+    dest: u32,
+    d: u32,
+) -> (u32, u32, bool) {
+    oracle
+        .out_edges(cur)
+        .into_iter()
+        .filter(|&(to, _, _)| dist[to as usize][dest as usize] == Some(d - 1))
+        .min_by_key(|&(_, dim, is_plus)| (dim, !is_plus))
+        .expect("a finite distance has a distance-decreasing out-edge")
+}
+
 /// Dally's criterion rebuilt from walked routes: the dependency graph
 /// over `(channel, class)` vertices, one edge per consecutive hop pair of
 /// any route, is acyclic.
@@ -257,6 +282,25 @@ fn check_against_oracle(topo: KAryNCube, faults: FaultSet, oracle: &OracleGraph,
                 topo.coords(dest)
             );
             let route = router.route(src, dest);
+            let hop = router.next_hop(src, dest);
+            match expected {
+                Some(d) if d > 0 => {
+                    let hop = hop.expect("finite distance implies a next hop");
+                    let taken = (
+                        hop.channel.to(&topo).0,
+                        hop.channel.dim,
+                        hop.channel.direction == Direction::Plus,
+                    );
+                    assert_eq!(
+                        taken,
+                        oracle_next_hop(oracle, &dist, src.0, dest.0, d),
+                        "{ctx}: next hop {:?}→{:?} is not the lowest-id minimal hop",
+                        topo.coords(src),
+                        topo.coords(dest)
+                    );
+                }
+                _ => assert_eq!(hop, None, "{ctx}: next hop without one to take"),
+            }
             match expected {
                 None => assert!(route.is_none(), "{ctx}: route for unreachable pair"),
                 Some(d) => {
@@ -322,9 +366,20 @@ fn check_against_oracle(topo: KAryNCube, faults: FaultSet, oracle: &OracleGraph,
         "{ctx}: max_finite_distance"
     );
 
-    let mut order = Vec::new();
+    let mut edges = Vec::new();
     for dest in topo.nodes() {
-        router.tree(dest, &mut order);
+        router.tree(dest, &mut edges);
+        // Each edge carries its node's next hop: channel and sink.
+        for edge in &edges {
+            let hop = router.next_hop(edge.node, dest).unwrap();
+            assert_eq!(
+                edge.channel,
+                hop.channel.id(&topo),
+                "{ctx}: tree edge channel"
+            );
+            assert_eq!(edge.next, hop.channel.to(&topo), "{ctx}: tree edge sink");
+        }
+        let order: Vec<NodeId> = edges.iter().map(|edge| edge.node).collect();
         let mut expected: Vec<(u32, NodeId)> = topo
             .nodes()
             .filter(|&s| s != dest)
