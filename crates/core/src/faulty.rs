@@ -45,7 +45,10 @@
 
 use crate::ncube::{ModelError, MultiplexingModel, NCubeConfig, NCubeModel, RHO_CAP};
 use crate::rates::FaultyChannelRates;
-use crate::sweep::{LatencyModel, SaturationError, SaturationReport, Solved};
+use crate::sweep::{
+    check_bracket, find_saturation, Bisection, LatencyModel, SaturationError, SaturationReport,
+    Solved,
+};
 use kncube_queueing::blocking::{channel_metrics, TrafficClass};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
@@ -252,14 +255,50 @@ impl FaultyNCubeModel {
             .expect("zero load cannot saturate")
     }
 
-    /// [`find_saturation`](crate::sweep::find_saturation) of this model.
+    /// The channel-capacity bound on `λ*`,
+    /// `λ_c = 1 / ((Lm + 1) · max_c unit_rate_c)`: the rate at which the
+    /// busiest channel's utilization reaches 1 under the pipelined-transfer
+    /// holding time `Lm + 1`, so every per-channel solve above it is
+    /// saturated.  Infinite when no channel carries traffic.
+    pub fn capacity_bound(&self) -> f64 {
+        let busiest = (0..self.config.topology().num_channels())
+            .map(|id| self.rates.total_rate(ChannelId(id), 1.0))
+            .fold(0.0, f64::max);
+        1.0 / ((self.config.message_length as f64 + 1.0) * busiest)
+    }
+
+    /// The saturation rate `λ*` in `[lo, hi]`, to a relative width of
+    /// `rel_tol` — the answer of
+    /// [`find_saturation`](crate::sweep::find_saturation), found from the
+    /// capacity bound instead of a wide bracket.
+    ///
+    /// On the per-channel path `λ*` is the channel bound
+    /// [`FaultyNCubeModel::capacity_bound`] unless a source queue
+    /// saturates first, so the search probes `(1 − ε)·λ_c` once: if it
+    /// solves, `λ*` lies in `[(1 − ε)·λ_c, λ_c]` (a few probes); if not,
+    /// the bisection runs over `[lo, (1 − ε)·λ_c]` with its upper edge
+    /// already known to be saturated.  The delegated path, a network
+    /// without traffic and a bracket that does not contain the probe and
+    /// `λ_c` search as `find_saturation` does.
     pub fn saturation(
         &self,
         lo: f64,
         hi: f64,
         rel_tol: f64,
     ) -> Result<SaturationReport, SaturationError> {
-        crate::sweep::find_saturation(self, lo, hi, rel_tol)
+        check_bracket(lo, hi, rel_tol)?;
+        let bound = self.capacity_bound();
+        let probe = (1.0 - BOUND_BRACKET) * bound;
+        if self.delegates_to_ncube() || !(lo < probe && bound <= hi) {
+            return find_saturation(self, lo, hi, rel_tol);
+        }
+        let saturated = bound * BOUND_NUDGE;
+        let mut search = Bisection::new(self);
+        if search.solvable(probe) {
+            search.bisect(probe, saturated, rel_tol)
+        } else {
+            search.bisect(lo, probe, rel_tol)
+        }
     }
 
     /// The bit-exact fault-free reduction: map the closed-form solver's
@@ -350,11 +389,9 @@ impl FaultyNCubeModel {
         let (mut regular_num, mut regular_den, mut hot_num, mut hot_den) = (0.0, 0.0, 0.0, 0.0);
         let mut sources = vec![SourceSums::default(); n_nodes as usize];
         let mut s_net = vec![lm; n_nodes as usize];
-        let mut tree = Vec::new();
         for dest in topo.nodes() {
-            self.router.tree(dest, &mut tree);
             s_net[dest.index()] = lm;
-            for edge in &tree {
+            for edge in self.router.tree(dest) {
                 let (src, id) = (edge.node, edge.channel.index());
                 let s = s_net[edge.next.index()] + 1.0 + blocking[id];
                 s_net[src.index()] = s;
@@ -412,6 +449,18 @@ impl FaultyNCubeModel {
         })
     }
 }
+
+/// The width `ε` of the saturation search's first bracket
+/// `[(1 − ε)·λ_c, λ_c]`, relative to the capacity bound `λ_c`.  Bisecting
+/// it to `rel_tol = 1e-3` takes 4 probes after the one at `(1 − ε)·λ_c`.
+const BOUND_BRACKET: f64 = 0.01;
+
+/// Lifts `λ_c` to a rate every solve rejects.  A solve evaluates the
+/// busiest channel's utilization as `λ·r·(Lm+1) + λ·t·(Lm+1)`, which
+/// differs from `λ / λ_c` by a handful of roundings — far below the 16
+/// ulps added here — so the search's upper edge is saturated without a
+/// probe.
+const BOUND_NUDGE: f64 = 1.0 + 16.0 * f64::EPSILON;
 
 /// One source's sums over its reachable destinations, from the tree
 /// passes of [`FaultyNCubeModel::solve_general_at`]: the delivered-weighted
@@ -576,7 +625,11 @@ mod tests {
         let model = FaultyNCubeModel::new(FaultyNCubeConfig::new(faults, 2, 16, 0.0, 0.2)).unwrap();
         let sat = model.saturation(1e-9, 1e-2, 1e-3).unwrap();
         assert!(sat.lambda_star > 0.0);
-        assert!(sat.probes > 10);
+        // The probe at (1 − ε)·λ_c solves here, so the search bisects
+        // [(1 − ε)·λ_c, λ_c]: one probe plus four halvings.
+        assert!(sat.probes <= 5, "probes: {}", sat.probes);
+        let bound = model.capacity_bound();
+        assert!(sat.lambda_star <= bound && sat.lambda_star >= (1.0 - BOUND_BRACKET) * bound);
         assert!(sat.solver_iterations > 0);
         let mut prev = 0.0;
         for i in 1..=8 {
@@ -590,6 +643,34 @@ mod tests {
             model.solve_at(sat.lambda_star * 1.5),
             Err(ModelError::Saturated { .. })
         ));
+    }
+
+    #[test]
+    fn the_nudged_capacity_bound_is_saturated() {
+        // The bound search's upper edge is never probed: every solve at it
+        // must fail, on every geometry and load mix.
+        for topo in [
+            KAryNCube::bidirectional(8, 2).unwrap(),
+            KAryNCube::mesh(8, 2).unwrap(),
+            KAryNCube::bidirectional(4, 3).unwrap(),
+            KAryNCube::unidirectional(5, 2).unwrap(),
+        ] {
+            let mut faults = FaultSet::none(topo);
+            faults.fail_node(NodeId(3));
+            for (v, lm, h) in [(1, 8, 0.0), (2, 32, 0.2), (4, 100, 0.7)] {
+                let model =
+                    FaultyNCubeModel::new(FaultyNCubeConfig::new(faults.clone(), v, lm, 0.0, h))
+                        .unwrap();
+                let edge = model.capacity_bound() * BOUND_NUDGE;
+                assert!(
+                    matches!(
+                        model.solve_at(edge),
+                        Err(ModelError::Saturated { max_utilization }) if max_utilization >= 1.0
+                    ),
+                    "{topo:?} V={v} Lm={lm} h={h}: solvable at the nudged bound {edge:e}"
+                );
+            }
+        }
     }
 
     #[test]

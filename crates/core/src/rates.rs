@@ -147,14 +147,12 @@ impl FaultyChannelRates {
         // (regular, hot) unit load routed through each node: its own share
         // plus everything its subtree sends through it.
         let mut load = vec![(0.0, 0.0); n_nodes as usize];
-        let mut tree = Vec::new();
         for dest in topo.nodes() {
-            router.tree(dest, &mut tree);
             // The hot node generates only regular traffic; everyone else
             // splits `1 - h` uniform / `h` hot.  Failed sources are in no
             // tree: their traffic is dropped whole.
             let hot_share = if dest == hot { hot_fraction } else { 0.0 };
-            for edge in &tree {
+            for edge in router.tree(dest) {
                 let regular_share = if edge.node == hot {
                     1.0
                 } else {
@@ -162,7 +160,7 @@ impl FaultyChannelRates {
                 };
                 load[edge.node.index()] = (regular_share / others, hot_share);
             }
-            for edge in tree.iter().rev() {
+            for edge in router.tree(dest).rev() {
                 let (regular, hot_load) = load[edge.node.index()];
                 let id = edge.channel.index();
                 regular_unit[id] += regular;

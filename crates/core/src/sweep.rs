@@ -122,8 +122,8 @@ pub enum SaturationError {
         /// The largest rate probed before giving up.
         last_hi: f64,
     },
-    /// No probe above `lo` solved — typically an invalid configuration.
-    /// Carries the model's error from the last probe.
+    /// No probe solved, a positive `lo` included — typically an invalid
+    /// configuration.  Carries the model's error from the last probe.
     Unsolvable(ModelError),
 }
 
@@ -182,45 +182,23 @@ impl SaturationReport {
 /// [`SaturationError::BracketNotFound`] if the widening runs away.  Every
 /// probe is warm-started from the converged state of the last *solvable*
 /// probe — bisection probes cluster around `λ*`, so the states are close
-/// and most probes converge in a handful of iterations.  If no probe
-/// solves at all the search reports [`SaturationError::Unsolvable`]
-/// rather than a `λ*` pinned at `lo`.
+/// and most probes converge in a handful of iterations.  If every probe
+/// lands above `λ*`, a positive `lo` is probed last; only if that fails
+/// too does the search report [`SaturationError::Unsolvable`] rather than
+/// a `λ*` pinned at `lo`.
 pub fn find_saturation<M: LatencyModel>(
     model: &M,
     mut lo: f64,
     mut hi: f64,
     rel_tol: f64,
 ) -> Result<SaturationReport, SaturationError> {
-    if !(lo.is_finite() && hi.is_finite() && rel_tol.is_finite())
-        || lo < 0.0
-        || hi <= lo
-        || rel_tol <= 0.0
-    {
-        return Err(SaturationError::InvalidBracket { lo, hi, rel_tol });
-    }
-    let mut warm: Option<M::State> = None;
-    let mut last_error = None;
-    let mut probes = 0usize;
-    let mut iterations = 0usize;
-    let mut solvable = |lambda: f64| {
-        probes += 1;
-        match model.solve_from(lambda, warm.as_ref()) {
-            Ok(solved) => {
-                iterations += solved.iterations;
-                warm = Some(solved.state);
-                true
-            }
-            Err(e) => {
-                last_error = Some(e);
-                false
-            }
-        }
-    };
+    check_bracket(lo, hi, rel_tol)?;
+    let mut search = Bisection::new(model);
     // Widen until hi is saturated (bounded: utilization grows linearly in
     // λ, so a few doublings always suffice for a solvable model; a model
     // that never saturates exhausts the guard instead).
     let mut guard = 0;
-    while solvable(hi) {
+    while search.solvable(hi) {
         lo = hi;
         hi *= 2.0;
         guard += 1;
@@ -228,24 +206,89 @@ pub fn find_saturation<M: LatencyModel>(
             return Err(SaturationError::BracketNotFound { last_hi: lo });
         }
     }
-    while (hi - lo) / hi > rel_tol {
-        let mid = 0.5 * (lo + hi);
-        if solvable(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
+    search.bisect(lo, hi, rel_tol)
+}
+
+/// [`SaturationError::InvalidBracket`] unless `lo`/`hi`/`rel_tol` are
+/// finite with `0 <= lo < hi` and `rel_tol > 0`.
+pub(crate) fn check_bracket(lo: f64, hi: f64, rel_tol: f64) -> Result<(), SaturationError> {
+    if !(lo.is_finite() && hi.is_finite() && rel_tol.is_finite())
+        || lo < 0.0
+        || hi <= lo
+        || rel_tol <= 0.0
+    {
+        return Err(SaturationError::InvalidBracket { lo, hi, rel_tol });
+    }
+    Ok(())
+}
+
+/// The probing state of one saturation search: the warm start, the last
+/// failure and the work counted so far.
+pub(crate) struct Bisection<'m, M: LatencyModel> {
+    model: &'m M,
+    warm: Option<M::State>,
+    last_error: Option<ModelError>,
+    probes: usize,
+    iterations: usize,
+}
+
+impl<'m, M: LatencyModel> Bisection<'m, M> {
+    pub(crate) fn new(model: &'m M) -> Self {
+        Bisection {
+            model,
+            warm: None,
+            last_error: None,
+            probes: 0,
+            iterations: 0,
         }
     }
-    if warm.is_none() {
-        return Err(SaturationError::Unsolvable(
-            last_error.expect("every probe failed, so one failure was recorded"),
-        ));
+
+    /// Probe `lambda`, warm-started from the last solvable probe.
+    pub(crate) fn solvable(&mut self, lambda: f64) -> bool {
+        self.probes += 1;
+        match self.model.solve_from(lambda, self.warm.as_ref()) {
+            Ok(solved) => {
+                self.iterations += solved.iterations;
+                self.warm = Some(solved.state);
+                true
+            }
+            Err(e) => {
+                self.last_error = Some(e);
+                false
+            }
+        }
     }
-    Ok(SaturationReport {
-        lambda_star: 0.5 * (lo + hi),
-        probes,
-        solver_iterations: iterations,
-    })
+
+    /// Bisect `[lo, hi]` — `hi` saturated, `lo` solvable or zero — to a
+    /// relative width of `rel_tol`, and report its midpoint.
+    pub(crate) fn bisect(
+        mut self,
+        mut lo: f64,
+        mut hi: f64,
+        rel_tol: f64,
+    ) -> Result<SaturationReport, SaturationError> {
+        while (hi - lo) / hi > rel_tol {
+            let mid = 0.5 * (lo + hi);
+            if self.solvable(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        // No probe solved, so `lo` never moved: a positive `lo` is the
+        // last witness that the model solves at all.
+        if self.warm.is_none() && !(lo > 0.0 && self.solvable(lo)) {
+            return Err(SaturationError::Unsolvable(
+                self.last_error
+                    .expect("every probe failed, so one failure was recorded"),
+            ));
+        }
+        Ok(SaturationReport {
+            lambda_star: 0.5 * (lo + hi),
+            probes: self.probes,
+            solver_iterations: self.iterations,
+        })
+    }
 }
 
 /// [`find_saturation`] of the [`NCubeModel`] built from `base` (its `λ`
@@ -483,6 +526,24 @@ mod tests {
                 other => panic!("expected InvalidBracket for ({lo}, {hi}, {tol}), got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_solvable_lo_answers_when_every_bisection_probe_saturates() {
+        // A tight bracket whose every midpoint lands past λ*: the search
+        // must fall back on `lo`, which solves, not report Unsolvable.
+        let model = paper(32, 0.2);
+        let star = saturation(&model, 1e-9, 1e-1, 1e-3);
+        let (lo, hi) = (0.9995 * star, 1.01 * star);
+        let mut mid = hi;
+        while (mid - lo) / mid > 1e-3 {
+            mid = 0.5 * (lo + mid);
+            assert!(model.solve_from(mid, None).is_err(), "{mid:e} solves");
+        }
+        assert!(model.solve_from(lo, None).is_ok());
+        let report = find_saturation(&model, lo, hi, 1e-3).expect("lo solves");
+        assert_eq!(report.lambda_star, 0.5 * (lo + mid));
+        assert!((report.lambda_star - star).abs() <= 1e-3 * star);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! validated property here cannot flake.
 
 use kncube_core::{FaultyNCubeConfig, FaultyNCubeModel};
-use kncube_topology::{Channel, ChannelId, Direction, FaultRouter, FaultSet, KAryNCube, NodeId};
+use kncube_topology::{Channel, Direction, FaultRouter, FaultSet, KAryNCube, NodeId};
 use proptest::prelude::*;
 
 /// A random element to fail: a router, or a physical link.
@@ -131,7 +131,8 @@ proptest! {
     /// instead).  What holds for every fault set:
     ///
     /// 1. λ* never exceeds the bottleneck capacity bound
-    ///    `1 / (max per-unit-λ channel load · (Lm + 1))` — when faults
+    ///    `1 / (max per-unit-λ channel load · (Lm + 1))`
+    ///    ([`FaultyNCubeModel::capacity_bound`]) — when faults
     ///    concentrate load, the bound tightens and λ* falls with it;
     /// 2. whenever an added link fault *does* raise the per-unit
     ///    bottleneck load (reachability preserved, so demand is
@@ -144,12 +145,6 @@ proptest! {
         ),
     ) {
         const REL_TOL: f64 = 1e-3;
-        let hold = 17.0; // Lm + 1
-        let max_unit = |m: &FaultyNCubeModel| -> f64 {
-            (0..topo.num_channels())
-                .map(|i| m.channel_rates().total_rate(ChannelId(i), 1.0))
-                .fold(0.0f64, f64::max)
-        };
         let mut faults = FaultSet::none(topo);
         let mut prev = model(faults.clone(), 0.0);
         let mut prev_sat = prev.saturation(1e-9, 1e-1, REL_TOL).unwrap().lambda_star;
@@ -160,14 +155,14 @@ proptest! {
                 break;
             }
             let sat = cur.saturation(1e-9, 1e-1, REL_TOL).unwrap().lambda_star;
-            let bound = 1.0 / (max_unit(&cur) * hold);
+            let bound = cur.capacity_bound();
             prop_assert!(
                 sat <= bound * (1.0 + 4.0 * REL_TOL),
                 "λ* {} exceeds the capacity bound {} on {:?}",
                 sat, bound, topo
             );
             if cur.router().reachable_pairs() == prev.router().reachable_pairs()
-                && max_unit(&cur) > max_unit(&prev) * (1.0 + 1e-9)
+                && bound * (1.0 + 1e-9) < prev.capacity_bound()
             {
                 prop_assert!(
                     sat <= prev_sat * (1.0 + 4.0 * REL_TOL),

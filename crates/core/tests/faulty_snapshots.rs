@@ -2,21 +2,32 @@
 //!
 //! Each case builds a fixed fault sample (hash-placed router and link
 //! failures, no RNG), finds its saturation rate and solves the
-//! per-channel model at three fractions of it.  Every floating-point
-//! output is compared down to the bit (`f64::to_bits`), so a change in
-//! which hop a route takes, in the order the in-tree passes add their
-//! terms, or in the reachability census shows up here even when it moves
-//! a latency by one ulp.
+//! per-channel model at three fractions of a pinned rate.  Every
+//! floating-point output is compared down to the bit (`f64::to_bits`), so
+//! a change in which hop a route takes, in the order the in-tree passes
+//! add their terms, or in the reachability census shows up here even when
+//! it moves a latency by one ulp.
 //!
 //! If an intentional model change ever lands, re-record the constants in
 //! the same change and say so in the commit; a silent diff here is a
 //! determinism regression.
+//!
+//! The loads are shares of `wide_lambda_star`, the λ* that
+//! [`find_saturation`] over `[1e-9, 1e-1]` gives these cases.
+//! `lambda_star` and `probes` pin [`FaultyNCubeModel::saturation`], which
+//! brackets λ* from the channel-capacity bound and lands on a nearby rate
+//! in fewer probes; its λ* must stay within the search tolerance of the
+//! wide one.
 
+use kncube_core::sweep::find_saturation;
 use kncube_core::{FaultyNCubeConfig, FaultyNCubeModel};
 use kncube_topology::{Channel, Direction, FaultSet, KAryNCube};
 
-/// The loads each case is solved at, as shares of its pinned λ*.
+/// The loads each case is solved at, as shares of its wide-bisection λ*.
 const LOADS: [f64; 3] = [0.1, 0.5, 0.9];
+
+/// The saturation search's relative tolerance.
+const REL_TOL: f64 = 1e-3;
 
 /// Fail each router whose hashed index lands in `1/node_every` of the
 /// range, and each physical link whose hashed `(node, dim)` lands in
@@ -53,6 +64,9 @@ struct Snapshot {
     failed_links: u32,
     reachable_pairs: u64,
     mean_detour_hops: u64,
+    /// λ* of the wide bisection over `[1e-9, 1e-1]`; the loads' base.
+    wide_lambda_star: u64,
+    /// λ* and probe count of [`FaultyNCubeModel::saturation`].
     lambda_star: u64,
     probes: usize,
     points: [Point; 3],
@@ -75,14 +89,25 @@ fn check(s: Snapshot) {
         !model.delegates_to_ncube(),
         "{ctx}: must take the general path"
     );
-    let sat = model.saturation(1e-9, 1e-1, 1e-3).unwrap();
+    let sat = model.saturation(1e-9, 1e-1, REL_TOL).unwrap();
     assert_eq!(
         sat.lambda_star.to_bits(),
         s.lambda_star,
         "{ctx}: lambda_star"
     );
     assert_eq!(sat.probes, s.probes, "{ctx}: probes");
-    let lambda_star = f64::from_bits(s.lambda_star);
+    let wide = find_saturation(&model, 1e-9, 1e-1, REL_TOL).unwrap();
+    assert_eq!(
+        wide.lambda_star.to_bits(),
+        s.wide_lambda_star,
+        "{ctx}: wide_lambda_star"
+    );
+    let lambda_star = wide.lambda_star;
+    assert!(
+        (sat.lambda_star - lambda_star).abs() <= REL_TOL * lambda_star,
+        "{ctx}: λ* {} strays from the wide bisection's {lambda_star}",
+        sat.lambda_star
+    );
     for (frac, expected) in LOADS.iter().zip(&s.points) {
         let out = model.solve_at(frac * lambda_star).unwrap();
         assert_eq!(
@@ -124,8 +149,9 @@ fn snapshot_bi_torus_k8_n2() {
         failed_links: 12,
         reachable_pairs: 3660,
         mean_detour_hops: 0x3fc448be405987b2,
-        lambda_star: 0x3f81fe6685bdaad6,
-        probes: 15,
+        wide_lambda_star: 0x3f81fe6685bdaad6,
+        lambda_star: 0x3f81fe1667df15fd,
+        probes: 11,
         points: [
             [
                 0x40352b38131c61b1,
@@ -161,8 +187,9 @@ fn snapshot_mesh_k8_n2() {
         failed_links: 11,
         reachable_pairs: 3660,
         mean_detour_hops: 0x3fc61a4ca8fcec23,
-        lambda_star: 0x3f7204cd0e7f162c,
-        probes: 16,
+        wide_lambda_star: 0x3f7204cd0e7f162c,
+        lambda_star: 0x3f7202adcb30547a,
+        probes: 5,
         points: [
             [
                 0x4036c64c4f14f248,
@@ -198,8 +225,9 @@ fn snapshot_bi_torus_k4_n3() {
         failed_links: 17,
         reachable_pairs: 3782,
         mean_detour_hops: 0x3fab9dfc7aec5ec4,
-        lambda_star: 0x3f819199b9031ef7,
-        probes: 15,
+        wide_lambda_star: 0x3f819199b9031ef7,
+        lambda_star: 0x3f81905c58ffeb7c,
+        probes: 5,
         points: [
             [
                 0x40339f5c67bad493,

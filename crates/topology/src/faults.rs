@@ -34,9 +34,10 @@ use crate::routing::{Hop, VcClass};
 /// Distance marker for unreachable (or failed) node pairs.
 const UNREACHABLE: u16 = u16::MAX;
 
-/// Largest network, in nodes, a [`FaultRouter`] serves: its `N × N`
-/// tables (a `u16` distance and a `u8` next-hop port per pair) are 48 MiB
-/// here, and would be 3 GiB at `(32, 3)`.
+/// Largest network, in nodes, a [`FaultRouter`] serves: its per-pair
+/// tables (a `u16` distance and a `u8` next-hop port per pair, and a `u16`
+/// in-tree entry per reachable pair) take up to 5 bytes a pair, 80 MiB
+/// here, and would be 5 GiB at `(32, 3)`.
 /// The faulty model and the simulator's fault injection reject larger
 /// networks before building one.
 pub const MAX_FAULT_ROUTER_NODES: u32 = 1 << 12;
@@ -181,8 +182,9 @@ fn fnv1a(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// out-channel that decreases the distance to the destination — a
 /// deterministic minimal route in the surviving graph — recorded while the
 /// search runs, so [`FaultRouter::next_hop`] and the in-trees of
-/// [`FaultRouter::tree`] read it instead of searching for it.  The
-/// reachability census is taken during the same build.
+/// [`FaultRouter::tree`] read it instead of searching for it.  Each
+/// destination's in-tree order (a `u16` node per reachable pair) and the
+/// reachability census are taken during the same build.
 #[derive(Clone, Debug)]
 pub struct FaultRouter {
     topo: KAryNCube,
@@ -196,6 +198,12 @@ pub struct FaultRouter {
     /// Surviving out-links: `links[node·2n + port]` is the channel's id and
     /// its sink.  Entries of dead ports are never read.
     links: Vec<(ChannelId, NodeId)>,
+    /// Every destination's in-tree order, destination-major: the nodes
+    /// with a surviving route to `dest` (`dest` excluded), nearest first,
+    /// ties by node index, from `tree_start[dest]` up to
+    /// `tree_start[dest + 1]`.
+    tree_nodes: Vec<u16>,
+    tree_start: Vec<usize>,
     /// Node coordinates, `coords[node·n + dim]`.
     coords: Vec<u32>,
     /// The largest finite distance in `dist` (0 when nothing survives).
@@ -243,10 +251,18 @@ pub struct TreeEdge {
 
 impl FaultRouter {
     /// Build the distance and next-hop tables for `faults` (which carries
-    /// its topology), and take the reachability census.
+    /// its topology), record every destination's in-tree order, and take
+    /// the reachability census.
+    ///
+    /// # Panics
+    ///
+    /// If the topology has more than 2¹⁶ nodes (the in-tree order stores
+    /// `u16` node indices); callers fence far smaller networks with
+    /// [`MAX_FAULT_ROUTER_NODES`].
     pub fn new(faults: FaultSet) -> Self {
         let topo = *faults.topology();
         let nodes = topo.num_nodes() as usize;
+        assert!(nodes <= 1 << 16, "FaultRouter stores u16 node indices");
         let n = topo.n() as usize;
         let ports = 2 * n;
         let coords: Vec<u32> = topo
@@ -290,7 +306,15 @@ impl FaultRouter {
         let mut port = vec![NO_PORT; nodes * nodes];
         let (mut max_distance, mut reachable_pairs, mut detour_hops) = (0u16, 0u64, 0u64);
         let mut queue: Vec<u32> = Vec::with_capacity(nodes);
+        // Reserved for the fault-free worst case; untouched capacity costs
+        // no memory.
+        let mut tree_nodes: Vec<u16> = Vec::with_capacity(nodes * (nodes - 1));
+        let mut tree_start = Vec::with_capacity(nodes + 1);
+        // `slot[d]`: the next free in-tree entry of distance `d`.
+        let mut slot = Vec::new();
         for dest in topo.nodes() {
+            let base = tree_nodes.len();
+            tree_start.push(base);
             if faults.node_failed(dest) {
                 continue;
             }
@@ -299,8 +323,17 @@ impl FaultRouter {
             dist_row[dest.index()] = 0;
             queue.clear();
             queue.push(dest.0);
-            let mut head = 0;
+            // `dest` is level 0 and is not listed; every later level is
+            // fully queued when `head` reaches its first node, and its
+            // entries start where its queue positions do, less `dest`.
+            slot.clear();
+            slot.push(base);
+            let (mut head, mut level_end) = (0, 1);
             while let Some(&u) = queue.get(head) {
+                if head == level_end {
+                    slot.push(base + head - 1);
+                    level_end = queue.len();
+                }
                 head += 1;
                 let u = u as usize;
                 let d = dist_row[u] + 1;
@@ -334,13 +367,26 @@ impl FaultRouter {
                     .sum();
                 detour_hops += u64::from(dist_row[src]) - u64::from(minimal);
             }
+            // In-tree order: a counting sort of the row by distance, ties
+            // by node index, into the level slots the search recorded.
+            tree_nodes.resize(base + queue.len() - 1, 0);
+            for (node, &p) in port_row.iter().enumerate() {
+                if p != NO_PORT {
+                    let s = &mut slot[usize::from(dist_row[node])];
+                    tree_nodes[*s] = node as u16;
+                    *s += 1;
+                }
+            }
         }
+        tree_start.push(tree_nodes.len());
         FaultRouter {
             topo,
             faults,
             dist,
             port,
             links,
+            tree_nodes,
+            tree_start,
             coords,
             max_distance,
             reachable_pairs,
@@ -453,50 +499,29 @@ impl FaultRouter {
         Some(hops)
     }
 
-    /// Fill `edges` with the in-tree the deterministic routes into `dest`
-    /// form: one [`TreeEdge`] per node with a surviving route to `dest`
-    /// (`dest` excluded), nearest first, ties by node index — so every
-    /// edge's `next` is listed before it, or is `dest`.  A counting sort
-    /// of the distances; the channels and sinks are table reads.
-    pub fn tree(&self, dest: NodeId, edges: &mut Vec<TreeEdge>) {
-        let nodes = self.topo.num_nodes() as usize;
+    /// The in-tree the deterministic routes into `dest` form: one
+    /// [`TreeEdge`] per node with a surviving route to `dest` (`dest`
+    /// excluded), nearest first, ties by node index — so every edge's
+    /// `next` is listed before it, or is `dest`.  The order was recorded
+    /// by the build; the channels and sinks are table reads.
+    pub fn tree(
+        &self,
+        dest: NodeId,
+    ) -> impl DoubleEndedIterator<Item = TreeEdge> + ExactSizeIterator + '_ {
         let ports = 2 * self.topo.n() as usize;
-        let row = dest.index() * nodes..(dest.index() + 1) * nodes;
-        let (dist, port) = (&self.dist[row.clone()], &self.port[row]);
-        // Per-distance counts, turned into each distance's next free slot.
-        let mut slot = vec![0usize; self.max_distance as usize + 1];
-        for &d in dist.iter().filter(|&&d| d != UNREACHABLE) {
-            slot[d as usize] += 1;
-        }
-        // `dest` itself sits alone at distance 0 and is not listed.
-        slot[0] = 0;
-        let mut total = 0;
-        for s in &mut slot {
-            (*s, total) = (total, total + *s);
-        }
-        // Every slot below `total` is overwritten, so stale entries of a
-        // previous call need no reset.
-        edges.truncate(total);
-        let (channel, next) = DEAD_LINK;
-        edges.resize(
-            total,
+        let nodes = self.topo.num_nodes() as usize;
+        let port = &self.port[dest.index() * nodes..(dest.index() + 1) * nodes];
+        let order =
+            &self.tree_nodes[self.tree_start[dest.index()]..self.tree_start[dest.index() + 1]];
+        order.iter().map(move |&node| {
+            let node = usize::from(node);
+            let (channel, next) = self.links[node * ports + usize::from(port[node])];
             TreeEdge {
-                node: dest,
+                node: NodeId(node as u32),
                 channel,
                 next,
-            },
-        );
-        for (node, (&d, &p)) in dist.iter().zip(port).enumerate() {
-            if p != NO_PORT {
-                let (channel, next) = self.links[node * ports + p as usize];
-                edges[slot[d as usize]] = TreeEdge {
-                    node: NodeId(node as u32),
-                    channel,
-                    next,
-                };
-                slot[d as usize] += 1;
             }
-        }
+        })
     }
 
     /// Number of ordered pairs `(src, dest)` with `src != dest` that can
@@ -546,12 +571,10 @@ impl FaultRouter {
         let mut sink = vec![0u32; nv];
         // Routes are paths in their destination's in-tree: the edges are
         // (hop(cur), hop(next)) over tree nodes not next to `dest`.
-        let mut edges = Vec::new();
         // Per tree node: its hop's vertex and its successor bit.
         let mut hop = vec![(0u32, 0u8); self.topo.num_nodes() as usize];
         for dest in self.topo.nodes() {
-            self.tree(dest, &mut edges);
-            for edge in &edges {
+            for edge in self.tree(dest) {
                 let port = self.port_raw(edge.node, dest);
                 let class = self.hop_class(port_channel(edge.node, port), dest) as u8;
                 let v = edge.channel.index() * 2 + class as usize;

@@ -366,9 +366,8 @@ fn check_against_oracle(topo: KAryNCube, faults: FaultSet, oracle: &OracleGraph,
         "{ctx}: max_finite_distance"
     );
 
-    let mut edges = Vec::new();
     for dest in topo.nodes() {
-        router.tree(dest, &mut edges);
+        let edges: Vec<_> = router.tree(dest).collect();
         // Each edge carries its node's next hop: channel and sink.
         for edge in &edges {
             let hop = router.next_hop(edge.node, dest).unwrap();
